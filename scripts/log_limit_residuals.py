@@ -12,12 +12,12 @@ import argparse
 import math
 
 from kreinstring.evaluate import eval_fraction
-from kreinstring.families import bessel_drift_coefficients, log_limit_coefficients
+from kreinstring.families import PAPER_PARAMETERS, bessel_drift_coefficients, log_limit_coefficients
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--beta", type=float, default=2.0)
+    parser.add_argument("--beta", type=float, default=PAPER_PARAMETERS["beta"])
     parser.add_argument("--z", type=float, default=-1.0)
     parser.add_argument("--orders", default="5,10,20,40,80,160,320,640,1280,2000")
     args = parser.parse_args(argv)

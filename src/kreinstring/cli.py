@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 precondition violation (bad flags or values), 2
-malformed or unreadable input files.  All numeric output uses 17 significant
-digits; writers are deterministic, so identical inputs give identical files.
+Exit codes: 0 success, 1 precondition violation (bad flags or values, or a
+result outside double range), 2 malformed or unreadable input files.  Errors
+are one line on stderr.  All numeric output uses 17 significant digits;
+writers are deterministic, so identical inputs give identical files.
 """
 
 from __future__ import annotations
@@ -12,14 +13,9 @@ import math
 import sys
 from typing import Callable, List, Optional
 
-from .continued import ContinuedFraction
-from .evaluate import char_function, eval_fraction, levy_exponent
-from .families import (
-    bessel_drift_coefficients,
-    log_limit_coefficients,
-    reference_mass,
-    tanh_coefficients,
-)
+from .continued import Form
+from .evaluate import char_function, eval_fraction
+from .families import FAMILIES, PAPER_PARAMETERS, REFERENCES, reference_mass
 from .inversion import invert
 from .metrics import averaged_error, convergence_study, sup_error
 from .moments import coefficients_from_moments
@@ -37,10 +33,6 @@ from .serialization import (
 )
 from .transforms import dual, remove_zero_atom
 
-DEFAULT_ALPHA = 0.5
-DEFAULT_BETA = 2.0
-DEFAULT_C_CONST = 1.0 / math.sqrt(2.0 * math.pi)
-
 
 class _UsageError(Exception):
     pass
@@ -53,7 +45,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as f:
-        return f.read()
+        try:
+            return f.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError("%r is not UTF-8 text: %s" % (path, exc))
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -64,10 +59,8 @@ def _emit(text: str, out: Optional[str]) -> None:
             f.write(text)
 
 
-def _require(value, flag: str, family: str):
-    if value is None:
-        raise ValueError("family %r requires %s" % (family, flag))
-    return value
+def _flag(param: str) -> str:
+    return "-n" if param == "n" else "--" + param.replace("_", "-")
 
 
 def _reference(name: str) -> Callable[[float], float]:
@@ -75,21 +68,17 @@ def _reference(name: str) -> Callable[[float], float]:
 
 
 def _cmd_coeffs(args) -> int:
-    fam = args.family
-    if fam == "tanh":
-        cf = tanh_coefficients(_require(args.n, "-n", fam))
-    elif fam == "bessel-drift":
-        cf = bessel_drift_coefficients(
-            _require(args.alpha, "--alpha", fam),
-            _require(args.beta, "--beta", fam),
-            _require(args.c_const, "--c-const", fam),
-            _require(args.n, "-n", fam),
-        )
-    elif fam == "log-limit":
-        cf = log_limit_coefficients(_require(args.beta, "--beta", fam), _require(args.n, "-n", fam))
-    else:  # from-moments
-        if args.infile is None:
-            raise ValueError("family 'from-moments' requires --in <moments.json>")
+    if args.family in FAMILIES:
+        build, params = FAMILIES[args.family]
+        values = []
+        for param in params + ("n",):
+            if getattr(args, param) is None:
+                raise ValueError("family %r requires %s" % (args.family, _flag(param)))
+            values.append(getattr(args, param))
+        cf = build(*values)
+    elif args.infile is None:
+        raise ValueError("family 'from-moments' requires --in <moments.json>")
+    else:
         cf = coefficients_from_moments(parse_moments(_read(args.infile)))
     _emit(render_coefficients(cf), args.out)
     return 0
@@ -105,19 +94,22 @@ def _cmd_eval(args) -> int:
     if args.levy:
         if args.lam is None:
             raise ValueError("--levy requires --lambda")
-        if args.coeffs is not None:
-            value = levy_exponent(parse_coefficients(_read(args.coeffs)), args.lam)
-        else:
-            if args.lam <= 0.0:
-                raise ValueError("--lambda must be positive")
-            value = 1.0 / char_function(parse_string(_read(args.string)), -args.lam)
+        if not args.lam > 0.0:
+            raise ValueError("--lambda must be positive")
+        z = -args.lam
+    elif args.z is None:
+        raise ValueError("--z is required (or use --levy with --lambda)")
     else:
-        if args.z is None:
-            raise ValueError("--z is required (or use --levy with --lambda)")
-        if args.coeffs is not None:
-            value = eval_fraction(parse_coefficients(_read(args.coeffs)), args.z)
-        else:
-            value = char_function(parse_string(_read(args.string)), args.z)
+        z = args.z
+    if args.coeffs is not None:
+        cf = parse_coefficients(_read(args.coeffs))
+        if args.levy and cf.form is not Form.KREIN:
+            raise ValueError("the exponent is defined for KREIN-form coefficients")
+        value = eval_fraction(cf, z)
+    else:
+        value = char_function(parse_string(_read(args.string)), z)
+    if args.levy:  # the Levy exponent 1/W(-lambda); W = 0 gives inf, as in eval_fraction
+        value = math.inf if value == 0.0 else 1.0 / value
     print(fmt(value))
     return 0
 
@@ -141,18 +133,15 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    fam = args.family
-    if fam == "tanh":
-        family: Callable[[int], ContinuedFraction] = tanh_coefficients
-    elif fam == "bessel-drift":
-        family = lambda n: bessel_drift_coefficients(args.alpha, args.beta, args.c_const, n)
-    else:  # log-limit
-        family = lambda n: log_limit_coefficients(args.beta, n)
+    build, params = FAMILIES[args.family]
+    fixed = [getattr(args, param) for param in params]
     try:
         ns = [int(t) for t in args.n_list.split(",")]
     except ValueError:
         raise ValueError("--n-list must be comma-separated integers")
-    study = convergence_study(family, ns, _reference(args.reference), args.window, averaged=args.averaged)
+    study = convergence_study(
+        lambda n: build(*fixed, n), ns, _reference(args.reference), args.window, averaged=args.averaged
+    )
     if args.out is not None and args.out.endswith(".csv"):
         _emit(render_study_csv(study), args.out)
     else:
@@ -165,11 +154,10 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeffs", help="generate continued-fraction coefficients")
-    p.add_argument("family", choices=["tanh", "bessel-drift", "log-limit", "from-moments"])
+    p.add_argument("family", choices=[*FAMILIES, "from-moments"])
     p.add_argument("-n", type=int, help="truncation order")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--c-const", dest="c_const", type=float)
+    for param in PAPER_PARAMETERS:
+        p.add_argument(_flag(param), type=float)
     p.add_argument("--in", dest="infile", help="moments JSON (from-moments only)")
     p.add_argument("--out", help="output file (stdout if omitted)")
     p.set_defaults(func=_cmd_coeffs)
@@ -200,21 +188,20 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("compare", help="error report against a closed-form reference")
     p.add_argument("--approx", required=True, help="string CSV file")
-    p.add_argument("--reference", required=True, choices=["bm-drift", "uniform"])
+    p.add_argument("--reference", required=True, choices=REFERENCES)
     p.add_argument("--window", type=float, default=5.0)
     p.add_argument("--averaged", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("study", help="convergence-rate study over truncation orders")
-    p.add_argument("--family", required=True, choices=["bessel-drift", "tanh", "log-limit"])
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--n-list", dest="n_list", required=True, help="comma-separated orders, e.g. 63,127,255")
     p.add_argument("--averaged", action="store_true")
-    p.add_argument("--reference", required=True, choices=["bm-drift", "uniform"])
+    p.add_argument("--reference", required=True, choices=REFERENCES)
     p.add_argument("--window", type=float, default=5.0)
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--beta", type=float, default=DEFAULT_BETA)
-    p.add_argument("--c-const", dest="c_const", type=float, default=DEFAULT_C_CONST)
+    for param, value in PAPER_PARAMETERS.items():
+        p.add_argument(_flag(param), type=float, default=value)
     p.add_argument("--out", help="output file; .csv extension selects CSV")
     p.set_defaults(func=_cmd_study)
 
@@ -226,15 +213,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except SchemaError as exc:
+    except (SchemaError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (_UsageError, ValueError, OverflowError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -11,7 +11,8 @@ Three KREIN-form families with known characteristic functions:
   with gamma pinned to 1/2, W(z) = 2 / log(1 - z/beta).
 
 ``reference_mass`` exposes the two closed-form mass curves used to judge
-reconstructions.
+reconstructions.  ``FAMILIES`` and ``REFERENCES`` list what exists by name,
+for the command line and the scripts.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ def bessel_drift_coefficients(alpha: float, beta: float, c_const: float, n: int)
     sequence is the periodic 2, 4, 2, 4, ...  The two ratios are accumulated
     as running products (each factor is O(1), so nothing overflows even
     though the factorials themselves would); the only special-function call
-    is the single Gamma(1-alpha).
+    is the single Gamma(1-alpha).  Raises OverflowError when gamma underflows
+    to 0.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -52,6 +54,8 @@ def bessel_drift_coefficients(alpha: float, beta: float, c_const: float, n: int)
     if n < 0:
         raise ValueError("need n >= 0")
     gamma = c_const * math.gamma(1.0 - alpha) * beta**alpha
+    if gamma == 0.0:
+        raise OverflowError("gamma = c_const * Gamma(1-alpha) * beta**alpha underflows to 0")
     coeffs = []
     ratio_even = 1.0  # (1-alpha)_j / (1+alpha)_j
     ratio_odd = 1.0 / (1.0 - alpha)  # (1+alpha)_j / (1-alpha)_{j+1}
@@ -87,6 +91,20 @@ def log_limit_coefficients(beta: float, n: int) -> ContinuedFraction:
     return ContinuedFraction(Form.KREIN, tuple(coeffs))
 
 
+# family name -> (builder, the parameters it takes before the order n)
+FAMILIES = {
+    "tanh": (tanh_coefficients, ()),
+    "bessel-drift": (bessel_drift_coefficients, ("alpha", "beta", "c_const")),
+    "log-limit": (log_limit_coefficients, ("beta",)),
+}
+
+REFERENCES = ("bm-drift", "uniform")
+
+# The paper's parameters: alpha = 1/2, beta = 2, c = 1/sqrt(2 pi), so that
+# gamma = c * Gamma(1/2) * sqrt(2) = 1 and the drift family is 2, 4, 2, 4, ...
+PAPER_PARAMETERS = {"alpha": 0.5, "beta": 2.0, "c_const": 1.0 / math.sqrt(2.0 * math.pi)}
+
+
 def reference_mass(name: str, x: float, length: float = 1.0) -> float:
     """Closed-form cumulative mass of a named reference string.
 
@@ -96,7 +114,8 @@ def reference_mass(name: str, x: float, length: float = 1.0) -> float:
     if x < 0.0:
         raise ValueError("mass is defined for x >= 0 only")
     if name == "bm-drift":
-        return 2.0 * x / (1.0 + 4.0 * x)
+        # the quotient is exactly 0.5 long before 4x overflows
+        return 2.0 * x / (1.0 + 4.0 * x) if x < 1e300 else 0.5
     if name == "uniform":
         return x if x < length else math.inf
     raise ValueError(f"unknown reference {name!r} (choose bm-drift or uniform)")

@@ -9,6 +9,7 @@ gains one order of convergence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Tuple
 
@@ -43,34 +44,35 @@ class ConvergenceStudy:
     slope: float
 
 
-def sup_error(approx: DiscreteString, reference: MassFunction, window: float) -> ErrorReport:
-    """max_j |y_j - M(x_j)| over jumps with x_j < window."""
+def _max_error(approx: DiscreteString, reference: MassFunction, window: float, averaged: bool) -> ErrorReport:
+    """The body of ``sup_error`` (averaged false) and ``averaged_error`` (true)."""
     if window <= 0.0:
         raise ValueError("window must be positive")
     xs = approx.positions
     ys = approx.values
+    offset = 0
+    if averaged:
+        xs = xs[1:]
+        ys = 0.5 * ys[1:] + 0.5 * ys[:-1]  # halved first: the sum may overflow
+        offset = 1
     inside = xs < window
     if not inside.any():
         raise ValueError("no jumps inside the comparison window")
     errs = np.abs(ys[inside] - np.array([reference(x) for x in xs[inside]]))
     worst = int(np.argmax(errs))
-    return ErrorReport("sup", window, float(errs[worst]), worst, float(xs[inside][worst]), int(errs.size))
+    metric = "averaged" if averaged else "sup"
+    position = float(xs[inside][worst])
+    return ErrorReport(metric, window, float(errs[worst]), worst + offset, position, int(errs.size))
+
+
+def sup_error(approx: DiscreteString, reference: MassFunction, window: float) -> ErrorReport:
+    """max_j |y_j - M(x_j)| over jumps with x_j < window."""
+    return _max_error(approx, reference, window, averaged=False)
 
 
 def averaged_error(approx: DiscreteString, reference: MassFunction, window: float) -> ErrorReport:
     """max_j |(y_{j-1}+y_j)/2 - M(x_j)| over jumps with x_j < window, j >= 1."""
-    if window <= 0.0:
-        raise ValueError("window must be positive")
-    xs = approx.positions[1:]
-    mids = 0.5 * (approx.values[1:] + approx.values[:-1])
-    inside = xs < window
-    if not inside.any():
-        raise ValueError("no jumps inside the comparison window")
-    errs = np.abs(mids[inside] - np.array([reference(x) for x in xs[inside]]))
-    worst = int(np.argmax(errs))
-    return ErrorReport(
-        "averaged", window, float(errs[worst]), worst + 1, float(xs[inside][worst]), int(errs.size)
-    )
+    return _max_error(approx, reference, window, averaged=True)
 
 
 def convergence_study(
@@ -82,17 +84,21 @@ def convergence_study(
 ) -> ConvergenceStudy:
     """Invert the family at each truncation order and fit error ~ n^slope.
 
-    ``n_list`` must be strictly increasing with at least three entries; the
-    slope is the ordinary least-squares fit of log(error) against log(n).
+    ``n_list`` must be strictly increasing with at least three positive
+    entries; the slope is the ordinary least-squares fit of log(error) against
+    log(n), so every error must be finite and positive.
     """
     if len(n_list) < 3:
         raise ValueError("need at least three truncation orders")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("truncation orders must be strictly increasing")
-    measure = averaged_error if averaged else sup_error
+    if n_list[0] < 1:
+        raise ValueError("truncation orders must be positive")
     entries = []
     for n in n_list:
-        report = measure(invert(family(n)), reference, window)
+        report = _max_error(invert(family(n)), reference, window, averaged)
+        if not 0.0 < report.value < math.inf:
+            raise ValueError("cannot fit a slope: the error at n=%d is %s" % (n, report.value))
         entries.append((int(n), report.value))
     ns = np.array([n for n, _ in entries], dtype=float)
     errs = np.array([e for _, e in entries], dtype=float)

@@ -9,6 +9,7 @@ instead of drowning in roundoff.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
@@ -67,9 +68,24 @@ def stieltjes_from_moments_exact(moments: MomentSequence) -> Tuple[List[Fraction
 
 
 def coefficients_from_moments(moments: MomentSequence) -> ContinuedFraction:
-    """Float boundary over the exact extraction; Stieltjes form."""
+    """Float boundary over the exact extraction; Stieltjes form.
+
+    Every exact coefficient is positive.  Raises OverflowError naming s_j when
+    one lies outside double range: too large for a double, or so small that
+    it would round to 0.0.
+    """
     exact, terminated = stieltjes_from_moments_exact(moments)
-    return ContinuedFraction(Form.STIELTJES, tuple(float(v) for v in exact), terminated=terminated)
+    coeffs = []
+    for j, v in enumerate(exact):
+        try:
+            f = float(v)
+        except OverflowError:  # the exact division exceeds the largest double
+            f = math.inf
+        if f == 0.0 or math.isinf(f):
+            decade = math.floor(math.log10(v.numerator) - math.log10(v.denominator))
+            raise OverflowError("s_%d is about 1e%d, outside double range" % (j, decade))
+        coeffs.append(f)
+    return ContinuedFraction(Form.STIELTJES, tuple(coeffs), terminated=terminated)
 
 
 @dataclass(frozen=True)

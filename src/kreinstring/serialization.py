@@ -27,8 +27,6 @@ class SchemaError(Exception):
 def fmt(v: float) -> str:
     """Shortest 17-significant-digit decimal; 'inf' for the terminal marker."""
     v = float(v)
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
     if v == 0.0:
         v = 0.0  # normalize -0.0
     return format(v, ".17g")
@@ -56,11 +54,17 @@ def _parse_entry(v: object, where: str) -> float:
     raise SchemaError("%s: expected number or 'p/q' string" % where)
 
 
-def parse_coefficients(text: str) -> ContinuedFraction:
+def _load_json(text: str, what: str) -> object:
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SchemaError("coefficient file is not valid JSON: %s" % exc)
+        raise SchemaError("%s file is not valid JSON: %s" % (what, exc))
+    except RecursionError:
+        raise SchemaError("%s file is nested too deeply" % what)
+
+
+def parse_coefficients(text: str) -> ContinuedFraction:
+    data = _load_json(text, "coefficient")
     if not isinstance(data, dict) or "form" not in data or "s" not in data:
         raise SchemaError('coefficient file must be an object with "form" and "s"')
     try:
@@ -80,10 +84,7 @@ def parse_coefficients(text: str) -> ContinuedFraction:
 
 
 def parse_moments(text: str) -> List[Fraction]:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("moment file is not valid JSON: %s" % exc)
+    data = _load_json(text, "moment")
     if not isinstance(data, dict) or "c" not in data or not isinstance(data["c"], list):
         raise SchemaError('moment file must be an object with a list "c"')
     out: List[Fraction] = []
@@ -110,8 +111,10 @@ def render_string(s: DiscreteString) -> str:
 
 
 def parse_string(text: str) -> DiscreteString:
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if r]
+    try:
+        rows = [r for r in csv.reader(io.StringIO(text)) if r]
+    except csv.Error as exc:
+        raise SchemaError("string file is not valid CSV: %s" % exc)
     if not rows or [c.strip() for c in rows[0]] != ["x", "y"]:
         raise SchemaError('string file must start with header "x,y"')
     pairs = []

@@ -8,7 +8,6 @@ M : [0, inf) -> [0, inf], stored as its finitely many jumps plus an optional
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Tuple
@@ -122,7 +121,7 @@ def eval_mass(s: DiscreteString, x: float) -> float:
         raise ValueError("mass is defined for x >= 0 only")
     if s.terminal is not None and x >= s.terminal:
         return math.inf
-    idx = bisect_right([p for p, _ in s.jumps], x) - 1
+    idx = int(np.searchsorted(s.positions, x, side="right")) - 1
     return s.jumps[idx][1] if idx >= 0 else 0.0
 
 

@@ -12,6 +12,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from .continued import ContinuedFraction, Form
 from .strings import DiscreteString, validate_string
@@ -47,7 +48,8 @@ def remove_zero_atom(s: DiscreteString) -> DiscreteString:
     on each plateau, the rescaled mass M/(1 - M/m_tot) is again a string.  On
     the final plateau the integrand vanishes, so the result carries a terminal
     point at x(t_last).  Requires finite positive total mass, no terminal
-    point, and at least one mass-carrying jump after the origin.
+    point, and at least one mass-carrying jump after the origin.  Raises
+    OverflowError when the rescaled mass of a jump exceeds double range.
     """
     if s.terminal is not None:
         raise ValueError("string with a terminal point has infinite total mass")
@@ -64,7 +66,10 @@ def remove_zero_atom(s: DiscreteString) -> DiscreteString:
     for j, (t, y) in enumerate(s.jumps):
         x_new += (1.0 - prev_y / m_tot) ** 2 * (t - prev_t)
         if y > prev_y and j < last:
-            pairs.append((x_new, y / (1.0 - y / m_tot)))
+            rescaled = y / (1.0 - y / m_tot)
+            if math.isinf(rescaled):
+                raise OverflowError(f"rescaled mass of jump {j} ({t}, {y}) exceeds double range")
+            pairs.append((x_new, rescaled))
         prev_t, prev_y = t, y
     return validate_string(pairs, terminal=x_new)
 

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kreinstring.cli import main
 from kreinstring.serialization import parse_coefficients, parse_string
@@ -291,3 +297,170 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     code, _, err = run(capsys)
     assert code == 1
     assert "error:" in err
+
+
+def test_invert_past_extended_range_is_a_one_line_failure(capsys, tmp_path):
+    coeffs = tmp_path / "c.json"
+    assert main(["coeffs", "bessel-drift", "-n", "8191", "--alpha", "0.5", "--beta", "2",
+                 "--c-const", str(1.0 / math.sqrt(2.0 * math.pi)), "--out", str(coeffs)]) == 0
+    code, out, err = run(capsys, "invert", "--in", str(coeffs))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# -- every input ends in exit 0, 1 or 2 ---------------------------------------
+
+FILE = "@in"  # replaced by the path of a file holding the drawn contents
+OUT = "@out"  # replaced by a path in the same directory
+
+ZEROS = b"0" * 400
+
+# argv, file contents, exit code, text in the output: inputs that once
+# escaped as tracebacks, wrote more than one line of error, or gave a wrong number
+FAULTS = {
+    "tiny-moment": ("coeffs from-moments --in @in", b'{"c":["1' + ZEROS + b'"]}', 1, "s_0 is about 1e-400"),
+    "huge-moment": ("coeffs from-moments --in @in", b'{"c":[1,"1/1' + ZEROS + b'"]}', 1, "s_1 is about 1e400"),
+    "levy-coeffs-zero": ("eval --coeffs @in --levy --lambda 1", b'{"form":"krein","s":[0]}', 0, "inf"),
+    "levy-string-zero": ("eval --string @in --levy --lambda 1", b"x,y\n0,inf\n", 0, "inf"),
+    "long-integer": ("invert --in @in", b'{"form":"krein","s":[1,1' + ZEROS + b"]}", 1, "too large"),
+    "long-rational": ("eval --coeffs @in --z -1", b'{"form":"krein","s":["1' + ZEROS + b'/3"]}', 1, "too large"),
+    "nested-coeffs": ("invert --in @in", b"[" * 100000 + b"]" * 100000, 2, "nested too deeply"),
+    "nested-moments": ("coeffs from-moments --in @in", b'{"c":' * 100000 + b"}" * 100000, 2, "nested too deeply"),
+    "not-utf8": ("invert --in @in", b'{"form":"krein","s":[1,\xff]}', 2, "not UTF-8"),
+    "csv-field-limit": ("dual --in @in", b"x,y\n" + b"1" * 200000 + b",1\n", 2, "not valid CSV"),
+    "hat-overflow": ("hat --in @in", b"x,y\n0,1.6e308\n1,1.7e308\n", 1, "jump 0 (0.0, 1.6e+308)"),
+    "mass-overflow": ("compare --approx @in --reference bm-drift --averaged --window inf",
+                      b"x,y\n0,1e308\n1e308,1.7e308\n", 0, '"value":1.35e+308,'),
+    "nan-point": ("eval --coeffs @in --z nan", TANH3.encode(), 1, "z < 0 only"),
+    "krein-underflow": ("eval --coeffs @in --z=-1e308", b'{"form":"krein","s":[1e-300,1,1e-300]}', 0, "0\n"),
+    "stieltjes-underflow": ("eval --coeffs @in --z=-1e-300", b'{"form":"stieltjes","s":[1e-300,1,1e-300]}', 0, "inf"),
+    "string-underflow": ("eval --string @in --z=-1e-300", b"x,y\n0,1e-300\n", 0, "inf"),
+    "study-order-zero": ("study --family bessel-drift --n-list 0,1,2 --reference bm-drift", b"", 1, "positive"),
+    "study-zero-error": ("study --family tanh --n-list 1,2,3 --reference uniform --window 0.1", b"", 1, "cannot fit"),
+}
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run_with_file(argv, content):
+    """Run argv twice with FILE holding content; return both (code, stdout, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "wb") as f:
+            f.write(content)
+        argv = [t.replace(FILE, path).replace(OUT, os.path.join(tmp, "output")) for t in argv]
+        return _run_quietly(argv), _run_quietly(argv)
+
+
+@pytest.mark.parametrize("argv, content, code, expected", list(FAULTS.values()), ids=list(FAULTS))
+def test_range_and_file_faults_end_in_a_documented_exit(argv, content, code, expected):
+    (got, out, err), _ = _run_with_file(argv.split(), content)
+    assert got == code
+    if code == 0:
+        assert expected in out and err == ""
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert expected in err
+
+
+def _option(flag, values=None):
+    """Nothing, the bare flag, or the flag with a drawn value."""
+    if values is None:
+        given = st.just([flag])
+    elif flag.startswith("--"):  # "--z=-1e308": argparse would take "-1e308" for a flag
+        given = values.map(lambda v: [flag + "=" + v])
+    else:
+        given = values.map(lambda v: [flag, v])
+    return st.one_of(st.just([]), given)
+
+
+def _command(name, *parts):
+    return st.tuples(*parts).map(lambda drawn: [name] + [t for part in drawn for t in part])
+
+
+NUMBERS = st.sampled_from(
+    ["0", "-0", "-1", "0.5", "3", "-2.5", "1e308", "-1e308", "1e-320", "-1e-320", "inf", "-inf", "nan", "x"]
+)
+ORDERS = st.sampled_from(["-1", "0", "1", "4", "x"])  # small: the work grows with the order
+N_LISTS = st.sampled_from(["5,11,21", "3,6,12,24", "21,11,5", "5,11", "0,1,2", "5,x"])
+REFERENCE = _option("--reference", st.sampled_from(["bm-drift", "uniform", "none"]))
+PARAMETERS = [_option("--alpha", NUMBERS), _option("--beta", NUMBERS), _option("--c-const", NUMBERS)]
+IN = _option("--in", st.just(FILE))
+WRITE = _option("--out", st.just(OUT))
+
+ARGVS = st.one_of(
+    _command(
+        "coeffs",
+        st.sampled_from(["tanh", "bessel-drift", "log-limit", "from-moments", "parabolic"]).map(lambda f: [f]),
+        _option("-n", ORDERS), *PARAMETERS, IN, WRITE,
+    ),
+    _command("invert", IN, WRITE),
+    _command(
+        "eval",
+        st.sampled_from([["--coeffs", FILE], ["--string", FILE], []]),
+        _option("--z", NUMBERS), _option("--levy"), _option("--lambda", NUMBERS),
+    ),
+    _command("dual", IN, WRITE),
+    _command("hat", IN, WRITE),
+    _command("compare", _option("--approx", st.just(FILE)), REFERENCE, _option("--window", NUMBERS),
+             _option("--averaged"), WRITE),
+    _command(
+        "study",
+        _option("--family", st.sampled_from(["tanh", "bessel-drift", "log-limit", "none"])),
+        _option("--n-list", N_LISTS), REFERENCE, _option("--window", NUMBERS), _option("--averaged"),
+        *PARAMETERS, WRITE,
+    ),
+)
+
+CONTENTS = st.one_of(
+    st.sampled_from([
+        TANH3.encode(),
+        b'{"form":"krein","s":[1,2]}',
+        b'{"form":"stieltjes","s":[0.5,"4/3","9/2"]}',
+        b'{"form":"krein","s":[1e-300,1,1e-300]}',
+        b'{"form":"krein","s":[1,-1]}',
+        b'{"form":"krein","s":[]}',
+        b'{"c":[2,3,5,9]}',
+        b'{"c":[1,"1/2","1/3","1/4","1/5"]}',
+        b'{"c":[1,2,1]}',
+        b'{"c":[0]}',
+        b'{"c":[1,true]}',
+        b"{nope",
+        b"[]",
+        b"x,y\n0,0\n1,2\n",
+        b"x,y\n0,0.5\n4,1\n",
+        b"x,y\n0,0\n0.5,1\n2,inf\n",
+        b"x,y\n1e-300,1e-300\n",
+        b"x,y\n0,1e308\n1e308,1.7e308\n",
+        b"x,y\n1,0\n0,1\n",
+        b"x,y\n0,nan\n",
+        b"x,y\n0\n",
+        b"",
+    ]),
+    st.binary(max_size=40),
+)
+
+
+def _with_fault_examples(test):
+    for argv, content, _, _ in FAULTS.values():
+        test = example(argv=argv.split(), content=content)(test)
+    return test
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(argv=ARGVS, content=CONTENTS)
+@_with_fault_examples
+def test_every_input_ends_in_an_exit_code(argv, content):
+    first, second = _run_with_file(argv, content)
+    code, out, err = first
+    assert code in (0, 1, 2)
+    assert "nan" not in out
+    if code != 0:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert second[:2] == first[:2]

@@ -6,6 +6,9 @@ import pytest
 from exact_oracles import drift_family_moments
 from kreinstring.evaluate import eval_fraction
 from kreinstring.families import (
+    FAMILIES,
+    PAPER_PARAMETERS,
+    REFERENCES,
     bessel_drift_coefficients,
     log_limit_coefficients,
     reference_mass,
@@ -15,6 +18,23 @@ from kreinstring.continued import Form
 from kreinstring.moments import stieltjes_from_moments_exact
 
 HEADLINE_C = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+class TestRegistry:
+    def test_every_family_builds_from_the_paper_parameters(self):
+        for build, params in FAMILIES.values():
+            cf = build(*(PAPER_PARAMETERS[p] for p in params), 5)
+            assert cf.form is Form.KREIN
+            assert cf.order == 5
+
+    def test_paper_parameters_give_gamma_one(self):
+        build, params = FAMILIES["bessel-drift"]
+        cf = build(*(PAPER_PARAMETERS[p] for p in params), 3)
+        assert cf.coefficients == pytest.approx([2.0, 4.0, 2.0, 4.0], rel=1e-15)
+
+    def test_every_reference_is_defined(self):
+        for name in REFERENCES:
+            assert math.isfinite(reference_mass(name, 0.5))
 
 
 class TestTanh:
