@@ -1,10 +1,13 @@
 """Continued-fraction coefficients from power moments, plus a determinacy check.
 
-The coefficient extraction is a pair of alternating series reciprocals applied
-to the asymptotic expansion of the characteristic function at z -> -infinity.
-It is carried out in exact rational arithmetic so that a moment sequence coming
-from a finite atomic measure terminates with a recognisable all-zero remainder
-instead of drowning in roundoff.
+The coefficient extraction runs the Euclid step of the Stieltjes fraction on
+the asymptotic expansion of the characteristic function at z -> -infinity,
+kept as a ratio of two truncated series (Viskovatov's two-row form): each
+coefficient costs one pass over rows one term shorter than the last, so N
+moments take O(N^2) operations.  It is carried out in exact rational
+arithmetic so that a moment sequence coming from a finite atomic measure
+terminates with a recognisable all-zero remainder instead of drowning in
+roundoff.
 """
 
 from __future__ import annotations
@@ -17,17 +20,6 @@ from typing import List, Sequence, Tuple
 from .continued import ContinuedFraction, Form
 
 MomentSequence = Sequence[Fraction]
-
-
-def _series_reciprocal(g: List[Fraction]) -> List[Fraction]:
-    """Truncated power-series inverse: h with g*h = 1 + O(t^len(g))."""
-    h = [Fraction(1) / g[0]]
-    for i in range(1, len(g)):
-        acc = Fraction(0)
-        for j in range(1, i + 1):
-            acc += g[j] * h[i - j]
-        h.append(-acc / g[0])
-    return h
 
 
 def stieltjes_from_moments_exact(moments: MomentSequence) -> Tuple[List[Fraction], bool]:
@@ -48,23 +40,24 @@ def stieltjes_from_moments_exact(moments: MomentSequence) -> Tuple[List[Fraction
     if c0 <= 0:
         raise ValueError("zeroth moment (total mass) must be positive")
     # Expansion of the characteristic function in powers of 1/z, alternating
-    # signs folded in so every extraction step works on the same series shape:
-    # invert, read off the constant term, recurse on the tail.  The even and
-    # odd steps of the classical scheme become mechanically identical.
-    g = [Fraction(c) if k % 2 == 0 else -Fraction(c) for k, c in enumerate(moments)]
+    # signs folded in, held as a ratio num/den of truncated series.  Each step
+    # reads off s = (1/g)(0) = den[0]/num[0] and continues with
+    # (1/g - s)/t = (den - s*num)[1:] / num, one term shorter.  den[0] stays
+    # positive, so the sign of num[0] is the sign of g(0).
+    num = [Fraction(c) if k % 2 == 0 else -Fraction(c) for k, c in enumerate(moments)]
+    den = [Fraction(1)] + [Fraction(0)] * (len(num) - 1)
     coeffs: List[Fraction] = []
-    while True:
-        if all(v == 0 for v in g):
+    while num:
+        if all(v == 0 for v in num):
             return coeffs, True
-        if g[0] <= 0:
+        if num[0] <= 0:
             raise ValueError(
                 "not a moment sequence: nonpositive divisor at coefficient %d" % len(coeffs)
             )
-        h = _series_reciprocal(g)
-        coeffs.append(h[0])
-        g = h[1:]
-        if not g:
-            return coeffs, False
+        s = den[0] / num[0]
+        coeffs.append(s)
+        num, den = [d - s * v for d, v in zip(den[1:], num[1:])], num[:-1]
+    return coeffs, False
 
 
 def coefficients_from_moments(moments: MomentSequence) -> ContinuedFraction:

@@ -57,7 +57,7 @@ def _parse_entry(v: object, where: str) -> float:
 def _load_json(text: str, what: str) -> object:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int_max_str_digits
         raise SchemaError("%s file is not valid JSON: %s" % (what, exc))
     except RecursionError:
         raise SchemaError("%s file is nested too deeply" % what)
@@ -141,8 +141,9 @@ def parse_string(text: str) -> DiscreteString:
 def _json_num(v: float) -> str:
     """Like fmt but with the JSON spelling of infinities.
 
-    An infinite error is meaningful (the window reached past a reference's
-    terminal point) and json.loads reads Infinity back as a float.
+    An infinite window and an infinite error (the window reached past a
+    reference's terminal point) are meaningful, and json.loads reads Infinity
+    back as a float.
     """
     if math.isinf(v):
         return "Infinity" if v > 0 else "-Infinity"
@@ -152,7 +153,7 @@ def _json_num(v: float) -> str:
 def render_report(r: ErrorReport) -> str:
     return (
         '{"metric":"%s","window":%s,"value":%s,"index":%d,"position":%s,"compared":%d}\n'
-        % (r.metric, fmt(r.window), _json_num(r.value), r.index, fmt(r.position), r.compared)
+        % (r.metric, _json_num(r.window), _json_num(r.value), r.index, fmt(r.position), r.compared)
     )
 
 
@@ -160,7 +161,7 @@ def render_study(st: ConvergenceStudy) -> str:
     entries = ",".join("[%d,%s]" % (n, _json_num(e)) for n, e in st.entries)
     return '{"metric":"%s","window":%s,"entries":[%s],"slope":%s}\n' % (
         st.metric,
-        fmt(st.window),
+        _json_num(st.window),
         entries,
         _json_num(st.slope),
     )

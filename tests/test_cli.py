@@ -338,6 +338,12 @@ FAULTS = {
     "string-underflow": ("eval --string @in --z=-1e-300", b"x,y\n0,1e-300\n", 0, "inf"),
     "study-order-zero": ("study --family bessel-drift --n-list 0,1,2 --reference bm-drift", b"", 1, "positive"),
     "study-zero-error": ("study --family tanh --n-list 1,2,3 --reference uniform --window 0.1", b"", 1, "cannot fit"),
+    "compare-inf-window": ("compare --approx @in --reference uniform --window inf", b"x,y\n0,0.5\n4,1\n", 0,
+                           '"window":Infinity,'),
+    "study-inf-window": ("study --family tanh --n-list 5,11,21 --reference uniform --window inf", b"", 0,
+                         '"window":Infinity,'),
+    "digits-coeffs": ("invert --in @in", b'{"form":"krein","s":[1,' + b"1" * 5000 + b"]}", 2, "not valid JSON"),
+    "digits-moments": ("coeffs from-moments --in @in", b'{"c":[1,' + b"1" * 5000 + b"]}", 2, "not valid JSON"),
 }
 
 
@@ -463,4 +469,6 @@ def test_every_input_ends_in_an_exit_code(argv, content):
     assert "nan" not in out
     if code != 0:
         assert err.startswith("error: ") and err.count("\n") == 1
+    elif argv[0] in ("compare", "study") and out:
+        json.loads(out)
     assert second[:2] == first[:2]

@@ -59,8 +59,8 @@ class TestExactExtraction:
 
 
 @st.composite
-def atomic_measures(draw):
-    k = draw(st.integers(min_value=1, max_value=3))
+def atomic_measures(draw, min_atoms=1):
+    k = draw(st.integers(min_value=min_atoms, max_value=3))
     lams = draw(
         st.lists(
             st.fractions(min_value=Fraction(1, 4), max_value=Fraction(4)),
@@ -95,6 +95,34 @@ def test_atomic_measures_terminate_and_reproduce_their_transform(atoms):
     for z in (Fraction(-1), Fraction(-1, 3), Fraction(-7, 2)):
         want = sum(w / (lam - z) for lam, w in atoms)
         assert eval_stieltjes_exact(coeffs, z) == want
+
+
+@given(st.fractions(min_value=Fraction(1, 4), max_value=Fraction(4)), atomic_measures(min_atoms=0))
+def test_an_atom_at_zero_ends_the_list_one_coefficient_early(w0, atoms):
+    """With one of its k atoms at 0, a measure's fraction ends on a -s z term:
+    2k - 1 coefficients, and the remainder still vanishes.  A quotient-
+    difference table would divide by 0/0 on these moments.
+    """
+    k = len(atoms) + 1
+    moments = [sum(w * lam**j for lam, w in atoms) for j in range(2 * k + 2)]
+    moments[0] += w0
+    coeffs, terminated = stieltjes_from_moments_exact(moments)
+    assert terminated
+    assert len(coeffs) == 2 * k - 1
+    for z in (Fraction(-1), Fraction(-1, 3), Fraction(-7, 2)):
+        want = w0 / -z + sum(w / (lam - z) for lam, w in atoms)
+        assert eval_stieltjes_exact(coeffs, z) == want
+
+
+@pytest.mark.parametrize("zero_atom", [False, True])
+def test_thirty_atoms_from_sixty_two_moments(zero_atom):
+    atoms = [(Fraction(j + (not zero_atom), 3), Fraction(1, j + 1)) for j in range(30)]
+    moments = [sum(w * lam**j for lam, w in atoms) for j in range(62)]
+    coeffs, terminated = stieltjes_from_moments_exact(moments)
+    assert terminated
+    assert len(coeffs) == 60 - zero_atom
+    z = Fraction(-1, 2)
+    assert eval_stieltjes_exact(coeffs, z) == sum(w / (lam - z) for lam, w in atoms)
 
 
 def test_float_boundary_tags_form_and_termination():
