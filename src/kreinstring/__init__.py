@@ -26,7 +26,7 @@ from .moments import (
     determinacy_diagnostic,
     stieltjes_from_moments_exact,
 )
-from .strings import DiscreteString, TotalMass, eval_mass, total_mass, validate_string
+from .strings import DiscreteString, eval_mass, validate_string
 from .transforms import dual, flip_form, remove_zero_atom
 
 __version__ = "0.1.0"
@@ -39,7 +39,6 @@ __all__ = [
     "ErrorReport",
     "Form",
     "MomentSequence",
-    "TotalMass",
     "averaged_error",
     "bessel_drift_coefficients",
     "char_function",
@@ -60,6 +59,5 @@ __all__ = [
     "stieltjes_from_moments_exact",
     "sup_error",
     "tanh_coefficients",
-    "total_mass",
     "validate_string",
 ]

@@ -24,7 +24,8 @@ stretch further still, roughly one extra decade every two levels.  Exact
 rational arithmetic confirms these magnitudes, so they are the answer, not a
 defect; doubles simply cannot hold them past n of a few hundred.  On output,
 records beyond the double range (their remaining mass is correspondingly
-negligible) are folded into the last representable record.
+negligible) are folded into the last representable record, and
+``strings.build_string`` merges records whose positions round to one double.
 """
 
 from __future__ import annotations
@@ -32,47 +33,11 @@ from __future__ import annotations
 import numpy as np
 
 from .continued import ContinuedFraction, Form
-from .strings import DiscreteString
+from .strings import DiscreteString, build_string
 
 # Output records past this position are folded into the previous one; keeps
 # the materialized string inside double range with headroom for the terminal.
 _LUMP_BOUND = 1e305
-
-
-def _merge_records(xs, ys):
-    """Collapse records that roundoff pushed onto the same position.
-
-    At large truncation orders the position increments can round away
-    entirely, so two mathematically distinct jumps land on one coordinate;
-    their masses add, which here means keeping the later cumulative value.
-    Records that add no mass at a new position are dropped.
-    """
-    pairs = []
-    for x, y in zip(xs, ys):
-        x = float(x)
-        y = float(y)
-        if not pairs:
-            pairs.append((x, y))
-        elif x == pairs[-1][0]:
-            pairs[-1] = (x, max(y, pairs[-1][1]))
-        elif y > pairs[-1][1]:
-            pairs.append((x, y))
-    return tuple(pairs)
-
-
-def _materialize(positions, values, cap):
-    """Fold records beyond double range into the last kept one, then merge.
-
-    cap is the exact final plateau (1/s_0); the fold assigns it to the last
-    kept record so no mass is dropped, only relocated inward from positions
-    that a double cannot represent anyway.
-    """
-    keep = int(np.searchsorted(positions, np.longdouble(_LUMP_BOUND), side="right"))
-    positions = positions[:keep]
-    # last value is mathematically the cap; assigning it directly keeps the
-    # plateau bit-exact and absorbs any folded-away tail mass
-    values = np.concatenate((values[: keep - 1], [np.longdouble(cap)]))
-    return DiscreteString(_merge_records(positions, values))
 
 
 def invert(cf: ContinuedFraction) -> DiscreteString:
@@ -127,12 +92,11 @@ def invert(cf: ContinuedFraction) -> DiscreteString:
                             "terminal position exceeds double range; the string "
                             "for these coefficients is too long to materialize"
                         )
-                    pairs = _merge_records(positions[:-1], head)
-                    if pairs and pairs[-1][0] >= terminal:
-                        # final gap is positive but below double resolution
-                        terminal = float(np.nextafter(pairs[-1][0], np.inf))
-                    return DiscreteString(pairs, terminal=terminal)
-                return _materialize(positions, np.concatenate((head, [one / c])), float(1.0 / float(c)))
+                    return build_string(zip(positions[:-1], head), terminal)
+                # fold records past the bound into the last kept one, whose
+                # value is the exact plateau 1/s_0: mass moves inward, none is lost
+                keep = int(np.searchsorted(positions, np.longdouble(_LUMP_BOUND), side="right"))
+                return build_string(zip(positions[:keep], [*head[: keep - 1], 1.0 / float(c)]))
             # interior level: next difference state
             mid = gaps[1:] / (f[:-1] * f[1:])
             tail_mass = one / c if gaps.size == 0 else one / (c * f[-1])

@@ -128,7 +128,7 @@ def parse_string(text: str) -> DiscreteString:
             raise SchemaError("line %d: non-numeric entry" % i)
         if terminal is not None:
             raise SchemaError("line %d: rows after the terminal marker" % i)
-        if math.isinf(y):
+        if y == math.inf:  # -inf falls through to the row checks
             terminal = x
         else:
             pairs.append((x, y))

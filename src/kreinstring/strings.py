@@ -3,6 +3,12 @@
 A string is a non-decreasing, right-continuous cumulative mass function
 M : [0, inf) -> [0, inf], stored as its finitely many jumps plus an optional
 "terminal" coordinate beyond which the mass is infinite.
+
+Canonical form comes from one record loop with two entry points:
+``validate_string`` checks rows from outside the program strictly and passes
+their terminal on unchanged, while ``build_string`` takes records the library
+computed, where rounding may land distinct jumps on one double: those merge,
+and a terminal on or before the last position moves to the next double.
 """
 
 from __future__ import annotations
@@ -10,16 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
-
-
-class TotalMass(NamedTuple):
-    """Finite supremum of the jump values, plus the infinite-mass flag."""
-
-    finite: float
-    has_terminal: bool
 
 
 @dataclass(frozen=True)
@@ -74,28 +73,32 @@ class DiscreteString:
     def values(self) -> np.ndarray:
         return np.array([y for _, y in self.jumps], dtype=float)
 
-    @cached_property
-    def masses(self) -> np.ndarray:
-        """Individual point masses m_j = y_j - y_{j-1} (with y_{-1} = 0)."""
-        v = self.values
-        return np.diff(v, prepend=0.0)
+
+def _canonical_jumps(records: Iterable[Tuple[float, float]]) -> Tuple[Tuple[float, float], ...]:
+    """Merge records at one position and drop those that add no value.
+
+    Starts from (0, 0); a merged record keeps the larger value.
+    """
+    jumps = [(0.0, 0.0)]
+    for x, y in records:
+        if x == jumps[-1][0]:
+            jumps[-1] = (x, max(y, jumps[-1][1]))
+        elif y > jumps[-1][1]:
+            jumps.append((x, y))
+    return tuple(jumps)
 
 
 def validate_string(
     raw: Iterable[Tuple[float, float]], terminal: Optional[float] = None
 ) -> DiscreteString:
-    """Canonicalize raw (position, cumulative value) pairs into a string.
+    """Check raw (position, cumulative value) rows and canonicalize them.
 
-    Inserts a leading (0, 0) record when the first position is positive and
-    drops redundant rows that repeat the previous cumulative value.  Raises
-    ValueError on non-monotone positions or values, negative or non-finite
-    entries, or a terminal before the last position.
+    Raises ValueError on non-increasing positions, decreasing values,
+    negative or non-finite entries, or a terminal before the last position.
     """
     pairs = [(float(x), float(y)) for x, y in raw]
     if terminal is not None:
         terminal = float(terminal)
-    if not pairs:
-        pairs = [(0.0, 0.0)]
     for i, (x, y) in enumerate(pairs):
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"non-finite entry at row {i}: ({x}, {y})")
@@ -106,13 +109,17 @@ def validate_string(
                 raise ValueError(f"positions not increasing at row {i}")
             if y < pairs[i - 1][1]:
                 raise ValueError(f"values decrease at row {i}")
-    if pairs[0][0] > 0.0:
-        pairs.insert(0, (0.0, 0.0))
-    canonical = [pairs[0]]
-    for x, y in pairs[1:]:
-        if y > canonical[-1][1]:
-            canonical.append((x, y))
-    return DiscreteString(tuple(canonical), terminal)
+    return DiscreteString(_canonical_jumps(pairs), terminal)
+
+
+def build_string(
+    records: Iterable[Tuple[float, float]], terminal: Optional[float] = None
+) -> DiscreteString:
+    """Canonical string from records the library computed, in position order."""
+    jumps = _canonical_jumps((float(x), float(y)) for x, y in records)
+    if terminal is not None and terminal <= jumps[-1][0]:
+        terminal = math.nextafter(jumps[-1][0], math.inf)
+    return DiscreteString(jumps, terminal)
 
 
 def eval_mass(s: DiscreteString, x: float) -> float:
@@ -123,8 +130,3 @@ def eval_mass(s: DiscreteString, x: float) -> float:
         return math.inf
     idx = int(np.searchsorted(s.positions, x, side="right")) - 1
     return s.jumps[idx][1] if idx >= 0 else 0.0
-
-
-def total_mass(s: DiscreteString) -> TotalMass:
-    """Supremum of the jump values and whether an infinite-mass point exists."""
-    return TotalMass(s.jumps[-1][1], s.terminal is not None)

@@ -15,7 +15,7 @@ import dataclasses
 import math
 
 from .continued import ContinuedFraction, Form
-from .strings import DiscreteString, validate_string
+from .strings import DiscreteString, build_string
 
 
 def dual(s: DiscreteString) -> DiscreteString:
@@ -47,9 +47,11 @@ def remove_zero_atom(s: DiscreteString) -> DiscreteString:
     Under the time change x(t) = integral of (1 - M/m_tot)^2, which is linear
     on each plateau, the rescaled mass M/(1 - M/m_tot) is again a string.  On
     the final plateau the integrand vanishes, so the result carries a terminal
-    point at x(t_last).  Requires finite positive total mass, no terminal
-    point, and at least one mass-carrying jump after the origin.  Raises
-    OverflowError when the rescaled mass of a jump exceeds double range.
+    point at x(t_last).  Near the cap the increments of x can fall below one
+    ulp, so the records go through ``build_string``'s merge policy.  Requires
+    finite positive total mass, no terminal point, and at least one
+    mass-carrying jump after the origin.  Raises OverflowError when the
+    rescaled mass of a jump exceeds double range.
     """
     if s.terminal is not None:
         raise ValueError("string with a terminal point has infinite total mass")
@@ -71,7 +73,7 @@ def remove_zero_atom(s: DiscreteString) -> DiscreteString:
                 raise OverflowError(f"rescaled mass of jump {j} ({t}, {y}) exceeds double range")
             pairs.append((x_new, rescaled))
         prev_t, prev_y = t, y
-    return validate_string(pairs, terminal=x_new)
+    return build_string(pairs, terminal=x_new)
 
 
 def flip_form(cf: ContinuedFraction) -> ContinuedFraction:

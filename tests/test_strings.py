@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kreinstring.strings import DiscreteString, eval_mass, total_mass, validate_string
+from kreinstring.strings import DiscreteString, build_string, eval_mass, validate_string
 
 
 class TestDiscreteStringInvariants:
@@ -53,7 +53,6 @@ class TestDiscreteStringInvariants:
         s = DiscreteString(((0.0, 0.25), (1.5, 1.0), (2.0, 3.0)))
         assert np.array_equal(s.positions, [0.0, 1.5, 2.0])
         assert np.array_equal(s.values, [0.25, 1.0, 3.0])
-        assert np.allclose(s.masses, [0.25, 0.75, 2.0])
 
 
 class TestValidateString:
@@ -72,9 +71,34 @@ class TestValidateString:
         with pytest.raises(ValueError, match="not increasing"):
             validate_string([(1.0, 1.0), (1.0, 2.0)])
 
+    def test_terminal_on_a_jump_is_rejected_not_moved(self):
+        with pytest.raises(ValueError, match="coincides"):
+            validate_string([(0.0, 0.0), (1.25, 1.0)], terminal=1.25)
+
     def test_terminal_passthrough(self):
         s = validate_string([(0.0, 1.0)], terminal=2.0)
         assert s.terminal == 2.0
+
+
+class TestBuildString:
+    """The merge policy for records the library computed."""
+
+    def test_records_at_one_position_merge_to_the_larger_value(self):
+        s = build_string([(0.0, 1.0), (1.0, 2.0), (1.0, 3.0), (1.0, 2.5)])
+        assert s.jumps == ((0.0, 1.0), (1.0, 3.0))
+
+    def test_records_adding_no_value_are_dropped(self):
+        s = build_string([(0.0, 1.0), (1.0, 1.0), (2.0, 0.5), (3.0, 2.0)])
+        assert s.jumps == ((0.0, 1.0), (3.0, 2.0))
+
+    def test_positive_first_position_gets_an_origin(self):
+        assert build_string([(1.0, 2.0)]).jumps == ((0.0, 0.0), (1.0, 2.0))
+
+    def test_terminal_on_the_last_jump_moves_to_the_next_double(self):
+        for terminal in (1.25, 1.0):
+            s = build_string([(0.0, 0.0), (1.25, 1.0)], terminal=terminal)
+            assert s.terminal == math.nextafter(1.25, math.inf)
+        assert build_string([(0.0, 0.0), (1.25, 1.0)], terminal=2.0).terminal == 2.0
 
 
 class TestEvalMass:
@@ -96,11 +120,6 @@ class TestEvalMass:
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError, match="x >= 0"):
             eval_mass(DiscreteString(((0.0, 1.0),)), -0.1)
-
-
-def test_total_mass():
-    assert total_mass(DiscreteString(((0.0, 0.0), (1.0, 2.0)))) == (2.0, False)
-    assert total_mass(DiscreteString(((0.0, 0.5),), terminal=3.0)) == (0.5, True)
 
 
 @st.composite
@@ -133,5 +152,5 @@ def test_validate_is_idempotent(rows):
 @given(raw_rows())
 def test_canonical_masses_are_positive_after_first(rows):
     s = validate_string(rows)
-    assert (s.masses[1:] > 0).all()
+    assert (np.diff(s.values) > 0).all()
     assert s.jumps[0][0] == 0.0
