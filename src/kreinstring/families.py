@@ -111,7 +111,7 @@ def reference_mass(name: str, x: float, length: float = 1.0) -> float:
     ``bm-drift``: M(x) = 2x/(1+4x), the drifted-Brownian-motion string.
     ``uniform``:  M(x) = x up to ``length``, infinite beyond.
     """
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError("mass is defined for x >= 0 only")
     if name == "bm-drift":
         # the quotient is exactly 0.5 long before 4x overflows

@@ -30,8 +30,6 @@ negligible) are folded into the last representable record, and
 
 from __future__ import annotations
 
-import numpy as np
-
 from .continued import ContinuedFraction, Form
 from .strings import DiscreteString, build_string
 
@@ -56,6 +54,8 @@ def invert(cf: ContinuedFraction) -> DiscreteString:
     """
     if cf.form is not Form.KREIN:
         raise ValueError("inversion expects KREIN-form coefficients")
+    import numpy as np  # here, not at module level: no other command needs arrays
+
     s = np.asarray(cf.coefficients, dtype=np.longdouble)
     n = len(s) - 1
     if n == 0:

@@ -4,7 +4,8 @@ Errors are evaluated at the jump positions of the approximation only (the
 reconstruction is exact in the large-x limit by construction, so a uniform
 grid would mostly sample plateaus).  ``averaged_error`` replaces the jump
 value by the midpoint of the two adjacent plateau heights, which empirically
-gains one order of convergence.
+gains one order of convergence.  Both are one plain-Python loop over the jumps;
+numpy serves only the least-squares slope of ``convergence_study``.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Tuple
-
-import numpy as np
 
 from .continued import ContinuedFraction
 from .inversion import invert
@@ -45,24 +44,28 @@ class ConvergenceStudy:
 
 
 def _max_error(approx: DiscreteString, reference: MassFunction, window: float, averaged: bool) -> ErrorReport:
-    """The body of ``sup_error`` (averaged false) and ``averaged_error`` (true)."""
+    """The body of ``sup_error`` (averaged false) and ``averaged_error`` (true).
+
+    The first maximum wins a tie; a NaN from the reference raises ValueError.
+    """
     if window <= 0.0:
         raise ValueError("window must be positive")
-    xs = approx.positions
-    ys = approx.values
-    offset = 0
-    if averaged:
-        xs = xs[1:]
-        ys = 0.5 * ys[1:] + 0.5 * ys[:-1]  # halved first: the sum may overflow
-        offset = 1
-    inside = xs < window
-    if not inside.any():
+    value, index, position, compared = -1.0, 0, 0.0, 0
+    for j in range(1 if averaged else 0, len(approx.jumps)):
+        x, y = approx.jumps[j]
+        if not x < window:  # positions increase, so the window is a prefix
+            break
+        if averaged:
+            y = 0.5 * y + 0.5 * approx.jumps[j - 1][1]  # halved first: the sum may overflow
+        err = abs(y - reference(x))  # y is finite, so only the reference makes a NaN
+        if math.isnan(err):
+            raise ValueError("the reference mass is NaN at position %r" % x)
+        compared += 1
+        if err > value:
+            value, index, position = err, j, x
+    if compared == 0:
         raise ValueError("no jumps inside the comparison window")
-    errs = np.abs(ys[inside] - np.array([reference(x) for x in xs[inside]]))
-    worst = int(np.argmax(errs))
-    metric = "averaged" if averaged else "sup"
-    position = float(xs[inside][worst])
-    return ErrorReport(metric, window, float(errs[worst]), worst + offset, position, int(errs.size))
+    return ErrorReport("averaged" if averaged else "sup", window, value, index, position, compared)
 
 
 def sup_error(approx: DiscreteString, reference: MassFunction, window: float) -> ErrorReport:
@@ -100,6 +103,8 @@ def convergence_study(
         if not 0.0 < report.value < math.inf:
             raise ValueError("cannot fit a slope: the error at n=%d is %s" % (n, report.value))
         entries.append((int(n), report.value))
+    import numpy as np  # the least-squares fit is the only array work here
+
     ns = np.array([n for n, _ in entries], dtype=float)
     errs = np.array([e for _, e in entries], dtype=float)
     slope = float(np.polyfit(np.log(ns), np.log(errs), 1)[0])

@@ -25,7 +25,7 @@ class SchemaError(Exception):
 
 
 def fmt(v: float) -> str:
-    """Shortest 17-significant-digit decimal; 'inf' for the terminal marker."""
+    """17 significant digits (round-trips a double, not the shortest form); 'inf' for the terminal."""
     v = float(v)
     if v == 0.0:
         v = 0.0  # normalize -0.0

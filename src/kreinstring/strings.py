@@ -2,7 +2,8 @@
 
 A string is a non-decreasing, right-continuous cumulative mass function
 M : [0, inf) -> [0, inf], stored as its finitely many jumps plus an optional
-"terminal" coordinate beyond which the mass is infinite.
+"terminal" coordinate beyond which the mass is infinite.  The jumps are a plain
+tuple, read without numpy: ``eval_mass`` is a binary search on it.
 
 Canonical form comes from one record loop with two entry points:
 ``validate_string`` checks rows from outside the program strictly and passes
@@ -13,12 +14,10 @@ and a terminal on or before the last position moves to the next double.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional, Tuple
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -64,14 +63,6 @@ class DiscreteString:
                 self.jumps[-2][1] if len(self.jumps) > 1 else 0.0
             ):
                 raise ValueError("terminal coincides with a mass-carrying jump")
-
-    @cached_property
-    def positions(self) -> np.ndarray:
-        return np.array([x for x, _ in self.jumps], dtype=float)
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        return np.array([y for _, y in self.jumps], dtype=float)
 
 
 def _canonical_jumps(records: Iterable[Tuple[float, float]]) -> Tuple[Tuple[float, float], ...]:
@@ -124,9 +115,9 @@ def build_string(
 
 def eval_mass(s: DiscreteString, x: float) -> float:
     """M(x): right-continuous step lookup, inf at and beyond the terminal."""
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError("mass is defined for x >= 0 only")
     if s.terminal is not None and x >= s.terminal:
         return math.inf
-    idx = int(np.searchsorted(s.positions, x, side="right")) - 1
-    return s.jumps[idx][1] if idx >= 0 else 0.0
+    # the first jump sits at 0 <= x, so the index is never -1
+    return s.jumps[bisect.bisect_right(s.jumps, x, key=lambda jump: jump[0]) - 1][1]

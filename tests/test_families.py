@@ -144,6 +144,11 @@ class TestReferenceMass:
         with pytest.raises(ValueError, match="x >= 0"):
             reference_mass("bm-drift", -0.1)
 
+    @pytest.mark.parametrize("name", ["bm-drift", "uniform"])
+    def test_rejects_nan_position(self, name):
+        with pytest.raises(ValueError, match="x >= 0"):
+            reference_mass(name, math.nan)
+
     def test_rejects_unknown_name(self):
         with pytest.raises(ValueError, match="unknown reference"):
             reference_mass("parabolic", 1.0)

@@ -1,6 +1,6 @@
+import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,9 +81,7 @@ def test_round_trip_reproduces_the_fraction(coeffs, zero_lead):
 def test_output_is_canonical_and_plateau_exact(coeffs):
     cf = krein_fraction(coeffs)
     s = invert(cf)
-    xs = s.positions
-    assert (np.diff(xs) > 0).all()
-    assert (np.diff(s.values) > 0).all()
+    assert all(b[0] > a[0] and b[1] > a[1] for a, b in zip(s.jumps, s.jumps[1:]))
     # final plateau is the reciprocal of the leading coefficient, bit for bit
     assert s.jumps[-1][1] == 1.0 / coeffs[0]
 
@@ -164,7 +162,7 @@ def test_long_tail_is_folded_into_double_range():
     materialize: far records fold into the last representable one."""
     coeffs = [2.0 if j % 2 == 0 else 4.0 for j in range(1024)]
     s = invert(krein_fraction(coeffs))
-    assert np.isfinite(s.positions).all()
+    assert all(math.isfinite(x) for x, _ in s.jumps)
     assert s.jumps[-1][1] == 0.5  # the cap, bit for bit
     for z in Z_GRID:
         assert char_function(s, z) == pytest.approx(

@@ -1,6 +1,10 @@
 import math
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from kreinstring.families import reference_mass, tanh_coefficients
 from kreinstring.inversion import invert
@@ -51,6 +55,19 @@ class TestSupError:
             averaged_error(shifted, lambda x: x, 1.0)
 
 
+    def test_nan_from_the_reference_names_its_position(self):
+        s = DiscreteString(((0.0, 0.0), (1.0, 0.4), (2.0, 0.5)))
+        with pytest.raises(ValueError, match=r"NaN at position 0\.0"):
+            sup_error(s, lambda x: math.nan, 5.0)
+        late = lambda x: math.nan if x >= 1.0 else 0.0
+        with pytest.raises(ValueError, match=r"NaN at position 1\.0"):
+            sup_error(s, late, 5.0)
+        with pytest.raises(ValueError, match=r"NaN at position 1\.0"):
+            averaged_error(s, late, 5.0)
+        # an infinite error is a result, as past the terminal of ``uniform``
+        assert sup_error(s, lambda x: math.inf, 5.0).value == math.inf
+
+
 class TestAveragedError:
     def test_midpoint_halves_a_clean_step(self):
         # identity reference: the step at x=1 has plateau midpoint 0.5
@@ -72,6 +89,64 @@ class TestAveragedError:
         rep = averaged_error(s, lambda x: 1.5, 5.0)
         assert rep.compared == 1
         assert rep.value == pytest.approx(0.0)
+
+
+def numpy_max_error(approx, reference, window, averaged):
+    """The array body ``sup_error`` and ``averaged_error`` had: the oracle."""
+    xs = np.array([x for x, _ in approx.jumps], dtype=float)
+    ys = np.array([y for _, y in approx.jumps], dtype=float)
+    offset = 0
+    if averaged:
+        xs = xs[1:]
+        ys = 0.5 * ys[1:] + 0.5 * ys[:-1]
+        offset = 1
+    inside = xs < window
+    if not inside.any():
+        return None
+    with np.errstate(over="ignore"):  # an error past the double range is inf
+        errs = np.abs(ys[inside] - np.array([reference(x) for x in xs[inside]]))
+    worst = int(np.argmax(errs))
+    return float(errs[worst]), worst + offset, float(xs[inside][worst]), int(errs.size)
+
+
+# small integers make tied errors common; the rest reach up to the double limit
+NUMBERS = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, 3.0, 1e308, 1.5e308, sys.float_info.max]),
+    st.floats(0.0, sys.float_info.max),
+)
+
+
+@st.composite
+def error_cases(draw):
+    values = sorted(draw(st.lists(NUMBERS, min_size=1, max_size=8, unique=True)))
+    k = len(values) - 1
+    positions = sorted(draw(st.lists(NUMBERS.filter(lambda x: x > 0.0), min_size=k, max_size=k, unique=True)))
+    s = DiscreteString(tuple(zip([0.0, *positions], values)))
+    table = {x: draw(st.one_of(NUMBERS, NUMBERS.map(lambda v: -v), st.just(math.inf))) for x in [0.0, *positions]}
+    window = draw(st.one_of(st.sampled_from([*positions, 1.0]), st.floats(0.0, math.inf, exclude_min=True)))
+    return s, table.__getitem__, window
+
+
+TIE = DiscreteString(((0.0, 0.0), (1.0, 2.0), (2.0, 3.0), (3.0, 4.0)))
+HUGE = DiscreteString(((0.0, 1.5e308), (1.0, sys.float_info.max)))
+
+
+@given(error_cases(), st.booleans())
+@example((TIE, {0.0: 1.0, 1.0: 1.0, 2.0: 2.0, 3.0: 3.0}.__getitem__, 5.0), False)  # errors 1, 1, 1, 1
+@example((TIE, {1.0: 0.0, 2.0: 1.5, 3.0: 2.5}.__getitem__, 5.0), True)  # halved 1, 2.5, 3.5: errors 1, 1, 1
+@example((HUGE, {0.0: -1e308, 1.0: 0.0}.__getitem__, 2.0), False)  # y - M overflows to inf
+@example((HUGE, {1.0: 1.6e308}.__getitem__, 2.0), True)  # the plateaus' sum overflows, their mean does not
+def test_errors_match_the_array_oracle(case, averaged):
+    s, reference, window = case
+    want = numpy_max_error(s, reference, window, averaged)
+    measure = averaged_error if averaged else sup_error
+    if want is None:
+        with pytest.raises(ValueError, match="no jumps inside"):
+            measure(s, reference, window)
+        return
+    rep = measure(s, reference, window)
+    assert (rep.value, rep.index, rep.position, rep.compared) == want
+    assert rep.metric == ("averaged" if averaged else "sup") and rep.window == window
 
 
 class TestConvergenceStudy:

@@ -49,11 +49,6 @@ class TestDiscreteStringInvariants:
         with pytest.raises(ValueError, match="finite"):
             DiscreteString(((0.0, 0.5),), terminal=math.inf)
 
-    def test_array_views(self):
-        s = DiscreteString(((0.0, 0.25), (1.5, 1.0), (2.0, 3.0)))
-        assert np.array_equal(s.positions, [0.0, 1.5, 2.0])
-        assert np.array_equal(s.values, [0.25, 1.0, 3.0])
-
 
 class TestValidateString:
     def test_inserts_leading_origin(self):
@@ -121,6 +116,11 @@ class TestEvalMass:
         with pytest.raises(ValueError, match="x >= 0"):
             eval_mass(DiscreteString(((0.0, 1.0),)), -0.1)
 
+    @pytest.mark.parametrize("terminal", [None, 2.0])
+    def test_nan_argument_rejected(self, terminal):
+        with pytest.raises(ValueError, match="x >= 0"):
+            eval_mass(DiscreteString(((0.0, 0.0), (1.0, 1.0)), terminal), math.nan)
+
 
 @st.composite
 def raw_rows(draw):
@@ -152,5 +152,27 @@ def test_validate_is_idempotent(rows):
 @given(raw_rows())
 def test_canonical_masses_are_positive_after_first(rows):
     s = validate_string(rows)
-    assert (np.diff(s.values) > 0).all()
+    ys = [y for _, y in s.jumps]
+    assert all(b > a for a, b in zip(ys, ys[1:]))
     assert s.jumps[0][0] == 0.0
+
+
+@given(raw_rows(), st.one_of(st.none(), st.floats(1e-3, 10.0)), st.floats(0.0, math.inf))
+def test_eval_mass_agrees_with_a_linear_scan(rows, past_last, extra):
+    s = validate_string(rows, terminal=None if past_last is None else rows[-1][0] + past_last)
+
+    def scan(x):
+        if s.terminal is not None and x >= s.terminal:
+            return math.inf
+        value = 0.0
+        for p, y in s.jumps:
+            if p <= x:
+                value = y
+        return value
+
+    at = [p for p, _ in s.jumps]
+    between = [math.nextafter(p, math.inf) for p in at] + [math.nextafter(p, 0.0) for p in at]
+    between += [0.5 * (a + b) for a, b in zip(at, at[1:])]
+    terminal = [] if s.terminal is None else [math.nextafter(s.terminal, 0.0), s.terminal, 2.0 * s.terminal]
+    for x in at + between + terminal + [math.inf, extra]:
+        assert eval_mass(s, x) == scan(x)
