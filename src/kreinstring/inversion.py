@@ -5,30 +5,35 @@ holds the string of the trailing coefficients s_{n-m}, ..., s_n, and level
 m+1 follows from level m by dualizing and applying an exact piecewise-linear
 time change.  Only the previous level is kept.
 
-Two numerical measures protect the computation.
+The level state is float64 natural logarithms of the gaps between jump
+positions, of the individual masses and of the first gap y0.
 
-First, the level state is stored in difference form (individual masses and
-gaps between jump positions) rather than as cumulative arrays.  The
-recurrences then involve only products and quotients of positive quantities,
-never the subtraction of nearly equal numbers: cumulative values saturate
-toward 1/c within a level, and differencing them in floating point silently
-zeroes out every mass below the rounding threshold, freezing the fine
-structure of the string near its right end.  In difference form each mass
-keeps full relative precision no matter how small it is.
+Logarithms give exponent range.  Truncating the expansion of a string whose
+mass cap is approached only as x grows without bound produces strings whose
+last records sit at genuinely astronomical positions, and the intermediate
+levels stretch further still: about 1e+-2460 at Bessel-drift order 4095.
+Exact rational arithmetic confirms these magnitudes, so they are the answer,
+not a defect.  Their logarithms are ordinary doubles on every host.
 
-Second, the levels run in extended precision (numpy longdouble) purely for
-exponent range.  Truncating the expansion of a string whose mass cap is
-approached only as x grows without bound produces finite strings whose last
-records sit at genuinely astronomical positions, and the intermediate levels
-stretch further still, roughly one extra decade every two levels.  Exact
-rational arithmetic confirms these magnitudes, so they are the answer, not a
-defect; doubles simply cannot hold them past n of a few hundred.  On output,
-records beyond the double range (their remaining mass is correspondingly
-negligible) are folded into the last representable record, and
-``strings.build_string`` merges records whose positions round to one double.
+Difference form keeps relative precision.  Cumulative values saturate toward
+1/c within a level, and differencing them would zero out every mass below
+the rounding threshold.  Updates of gaps and masses are products and
+quotients, sums of logs here; the one sum a level needs, log(1 + c x) at
+every position x, is a single ``logaddexp`` accumulation.  A value v held as
+its logarithm has relative error about eps*|ln v|, about 1e-14 where values
+span 1e+-100.
+
+On output, records past ``_LUMP_BOUND`` (their remaining mass is
+correspondingly negligible) fold into the last record kept, whose value is
+the exact plateau 1/s_0; values x/(1 + c x) are taken as -expm1(-log f)/c,
+which keeps near-cap records apart, and ``strings.build_string`` merges
+records whose positions round to one double.
 """
 
 from __future__ import annotations
+
+import math
+import sys
 
 from .continued import ContinuedFraction, Form
 from .strings import DiscreteString, build_string
@@ -36,6 +41,7 @@ from .strings import DiscreteString, build_string
 # Output records past this position are folded into the previous one; keeps
 # the materialized string inside double range with headroom for the terminal.
 _LUMP_BOUND = 1e305
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def invert(cf: ContinuedFraction) -> DiscreteString:
@@ -44,75 +50,61 @@ def invert(cf: ContinuedFraction) -> DiscreteString:
     The reconstruction has about n/2 point masses for n+1 coefficients.  When
     s_0 > 0 the final plateau value is exactly 1/s_0; when s_0 = 0 the
     would-be infinite final value is encoded as a terminal point at the last
-    computed position.  Rejects s_0 = 0 with n = 0 (the zero function is the
-    characteristic function of no string).
+    computed position.  Positions and values agree with exact arithmetic to
+    a relative error of about eps*|ln v| for a value v.  Rejects s_0 = 0 with
+    n = 0 (the zero function is the characteristic function of no string).
 
-    Raises OverflowError when even extended precision cannot hold the
-    intermediate scales (growing lists like 0,1,3,5,... past n of several
-    thousand, geometrically decaying ones far earlier), or when a terminal
-    position itself exceeds double range.
+    Raises OverflowError when 1/s_0, or for s_0 = 0 a position or a value of
+    the string, lies outside double range.
     """
     if cf.form is not Form.KREIN:
         raise ValueError("inversion expects KREIN-form coefficients")
-    import numpy as np  # here, not at module level: no other command needs arrays
-
-    s = np.asarray(cf.coefficients, dtype=np.longdouble)
+    s = cf.coefficients
     n = len(s) - 1
+    if s[0] > 0.0 and math.isinf(1.0 / s[0]):
+        decade = -math.log10(s[0])
+        raise OverflowError("the final plateau 1/s_0 is about 1e%.0f, outside double range" % decade)
     if n == 0:
         if s[0] == 0.0:
             raise ValueError("s_0 = 0 with no further coefficients matches no string")
-        return DiscreteString(((0.0, float(1.0 / s[0])),))
+        return DiscreteString(((0.0, 1.0 / s[0]),))
+    import numpy as np  # here, not at module level: no other command needs arrays
 
-    one = np.longdouble(1.0)
     # level 0: the constant string of the last coefficient
-    y0 = one / s[n]
-    gaps = np.zeros(0, dtype=np.longdouble)
-    masses = np.zeros(0, dtype=np.longdouble)
-    # overflow past extended range is detected per level and raised below;
-    # silence the intermediate inf arithmetic rather than warning on it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, n + 1):
-            c = s[n - m]
-            odd = m % 2 == 1
-            x_tail = np.cumsum(gaps)  # previous-level positions past the origin
-            f = one + c * x_tail
-            dx = f * f * masses  # time-changed gaps
-            if m == n:
-                scaled = x_tail / f if x_tail.size else x_tail
-                if odd:
-                    positions = np.concatenate(([np.longdouble(0.0), y0], y0 + np.cumsum(dx)))
-                    head = np.concatenate(([np.longdouble(0.0)], scaled))
-                else:
-                    positions = np.concatenate(([np.longdouble(0.0)], np.cumsum(dx)))
-                    head = scaled
-                if c == 0.0:
-                    terminal = float(positions[-1])
-                    if not np.isfinite(terminal):
-                        raise OverflowError(
-                            "terminal position exceeds double range; the string "
-                            "for these coefficients is too long to materialize"
-                        )
-                    return build_string(zip(positions[:-1], head), terminal)
-                # fold records past the bound into the last kept one, whose
-                # value is the exact plateau 1/s_0: mass moves inward, none is lost
-                keep = int(np.searchsorted(positions, np.longdouble(_LUMP_BOUND), side="right"))
-                return build_string(zip(positions[:keep], [*head[: keep - 1], 1.0 / float(c)]))
-            # interior level: next difference state
-            mid = gaps[1:] / (f[:-1] * f[1:])
-            tail_mass = one / c if gaps.size == 0 else one / (c * f[-1])
-            head_mass = gaps[:1] / f[:1]  # new first scaled value, empty at level 1
-            if odd:
-                gaps = np.concatenate(([y0], dx))
-                masses = np.concatenate((head_mass, mid, [tail_mass]))
-                y0 = np.longdouble(0.0)
-            else:
-                gaps = dx
-                masses = np.concatenate((mid, [tail_mass]))
-                y0 = head_mass[0]
-            if not np.isfinite(np.sum(gaps)):
-                raise OverflowError(
-                    "intermediate string length exceeds extended range at level "
-                    "%d of %d; the coefficient scales are too extreme for this "
-                    "truncation order" % (m, n)
-                )
-    raise AssertionError("unreachable")
+    ly0 = -math.log(s[n])
+    lg = lm = np.zeros(0)
+    for m in range(1, n + 1):
+        c = s[n - m]
+        lc = math.log(c) if c > 0.0 else -math.inf
+        # log f at the origin and at every previous-level position
+        lf = np.logaddexp.accumulate(np.concatenate(([0.0], lc + lg)))
+        ldx = 2.0 * lf[1:] + lm  # time-changed gaps f^2 * mass
+        if m == n:
+            break
+        # new masses: gap/(f_left f_right) per old gap, then the tail 1/(c f)
+        lm = np.append(lg - lf[:-1] - lf[1:], -lc - lf[-1])
+        if m % 2 == 1:
+            lg = np.concatenate(([ly0], ldx))
+        else:
+            lg, ly0, lm = ldx, lm[0], lm[1:]
+
+    odd = n % 2 == 1
+    lpos = np.logaddexp.accumulate(np.concatenate(([ly0], ldx)) if odd else ldx)
+    if c == 0.0:
+        # values are the previous level's positions; the last position is the terminal
+        lx = np.logaddexp.accumulate(lg)
+        peak = max(lpos[-1], lx[-1]) if lx.size else lpos[-1]
+        if peak > _LOG_MAX:
+            decade = peak / math.log(10.0)
+            raise OverflowError("the string reaches about 1e%.0f, outside double range" % decade)
+        positions = [0.0, *np.exp(lpos).tolist()]
+        values = np.exp(lx).tolist()
+        head = [0.0, *values] if odd else values
+        return build_string(zip(positions[:-1], head), positions[-1])
+    # fold records past the bound into the last kept one, whose value is the
+    # exact plateau 1/s_0: mass moves inward, none is lost
+    keep = int(np.searchsorted(lpos, math.log(_LUMP_BOUND), side="right"))
+    positions = [0.0, *np.exp(lpos[:keep]).tolist()]
+    values = (-np.expm1(-lf[1:]) / c).tolist()
+    head = [0.0, *values] if odd else values
+    return build_string(zip(positions, [*head[:keep], 1.0 / c]))

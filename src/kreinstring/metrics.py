@@ -48,7 +48,7 @@ def _max_error(approx: DiscreteString, reference: MassFunction, window: float, a
 
     The first maximum wins a tie; a NaN from the reference raises ValueError.
     """
-    if window <= 0.0:
+    if not window > 0.0:
         raise ValueError("window must be positive")
     value, index, position, compared = -1.0, 0, 0.0, 0
     for j in range(1 if averaged else 0, len(approx.jumps)):

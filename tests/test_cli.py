@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kreinstring.cli import main
+from kreinstring.evaluate import char_function, eval_fraction
 from kreinstring.serialization import parse_coefficients, parse_string
 
 TANH3 = '{"form":"krein","s":[0,1,3,5]}\n'
@@ -299,14 +300,17 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     assert "error:" in err
 
 
-def test_invert_past_extended_range_is_a_one_line_failure(capsys, tmp_path):
-    coeffs = tmp_path / "c.json"
+def test_invert_reaches_drift_order_8191(capsys, tmp_path):
+    # the intermediate levels pass 1e4932, the top of 80-bit extended range
+    coeffs, string = tmp_path / "c.json", tmp_path / "s.csv"
     assert main(["coeffs", "bessel-drift", "-n", "8191", "--alpha", "0.5", "--beta", "2",
                  "--c-const", str(1.0 / math.sqrt(2.0 * math.pi)), "--out", str(coeffs)]) == 0
-    code, out, err = run(capsys, "invert", "--in", str(coeffs))
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, err = run(capsys, "invert", "--in", str(coeffs), "--out", str(string))
+    assert (code, out, err) == (0, "", "")
+    cf = parse_coefficients(coeffs.read_text())
+    s = parse_string(string.read_text())
+    for z in (-0.1, -1.0, -10.0):
+        assert char_function(s, z) == pytest.approx(eval_fraction(cf, z), rel=1e-9)
 
 
 # -- every input ends in exit 0, 1 or 2 ---------------------------------------
@@ -338,6 +342,14 @@ FAULTS = {
     "string-underflow": ("eval --string @in --z=-1e-300", b"x,y\n0,1e-300\n", 0, "inf"),
     "study-order-zero": ("study --family bessel-drift --n-list 0,1,2 --reference bm-drift", b"", 1, "positive"),
     "study-zero-error": ("study --family tanh --n-list 1,2,3 --reference uniform --window 0.1", b"", 1, "cannot fit"),
+    "compare-nan-window": ("compare --approx @in --reference uniform --window nan", b"x,y\n0,0.5\n4,1\n", 1,
+                           "window must be positive"),
+    "study-nan-window": ("study --family tanh --n-list 5,11,21 --reference uniform --window nan", b"", 1,
+                         "window must be positive"),
+    "invert-zero-lead-overflow": ("invert --in @in", b'{"form":"krein","s":[0,1,1e-310]}', 1,
+                                  "the string reaches about 1e310, outside double range"),
+    "invert-plateau-overflow": ("invert --in @in", b'{"form":"krein","s":[1e-310,1]}', 1,
+                                "1/s_0 is about 1e310, outside double range"),
     "compare-inf-window": ("compare --approx @in --reference uniform --window inf", b"x,y\n0,0.5\n4,1\n", 0,
                            '"window":Infinity,'),
     "study-inf-window": ("study --family tanh --n-list 5,11,21 --reference uniform --window inf", b"", 0,

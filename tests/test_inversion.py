@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 from exact_oracles import invert_exact
 from kreinstring.continued import krein_fraction, stieltjes_fraction
 from kreinstring.evaluate import char_function, eval_fraction
-from kreinstring.families import tanh_coefficients
+from kreinstring.families import PAPER_PARAMETERS, bessel_drift_coefficients, tanh_coefficients
 from kreinstring.inversion import invert
 from kreinstring.metrics import sup_error
+from kreinstring.strings import build_string
 
 Z_GRID = (-0.5, -1.0, -2.0, -5.0)
 
@@ -55,12 +57,44 @@ class TestErrors:
         with pytest.raises(ValueError, match="no string"):
             invert(krein_fraction([0.0]))
 
-    def test_extreme_scales_overflow_gracefully(self):
-        # geometric decay makes the intermediate levels stretch a decade or
-        # more each, past even extended precision well before level 100
-        steep = krein_fraction([0.5**j for j in range(120)])
-        with pytest.raises(OverflowError, match="extended range"):
-            invert(steep)
+    def test_terminal_past_double_range_overflows(self):
+        with pytest.raises(OverflowError, match="about 1e310, outside double range"):
+            invert(krein_fraction([0.0, 1e-310]))
+
+    def test_plateau_past_double_range_overflows(self):
+        with pytest.raises(OverflowError, match="1/s_0 is about 1e310, outside double range"):
+            invert(krein_fraction([1e-310, 1.0]))
+
+
+def test_extreme_scales_round_trip():
+    """Geometric decay stretches the intermediate levels a decade or more
+    each, past the 1e4932 of 80-bit extended precision well before level
+    100; their logarithms stay ordinary doubles."""
+    coeffs = [0.5**j for j in range(120)]
+    cf = krein_fraction(coeffs)
+    s = invert(cf)
+    assert len(s.jumps) == 5
+    assert s.jumps[-1][1] == 1.0 / coeffs[0]
+    for z in Z_GRID:
+        assert char_function(s, z) == pytest.approx(eval_fraction(cf, z), rel=1e-14)
+    # the exact recurrences take minutes on all 120; a prefix certifies the records
+    prefix = [Fraction(1, 2**j) for j in range(16)]
+    want_pairs, _ = invert_exact(prefix)
+    want = build_string((float(x), float(y)) for x, y in want_pairs)
+    got = invert(krein_fraction(float(v) for v in prefix))
+    assert len(got.jumps) == len(want.jumps)
+    for (gx, gy), (ex, ey) in zip(got.jumps, want.jumps):
+        assert gx == pytest.approx(ex, abs=1e-13, rel=1e-13)
+        assert gy == pytest.approx(ey, abs=1e-13, rel=1e-13)
+
+
+def test_levels_do_not_depend_on_extended_precision(monkeypatch):
+    """Where numpy.longdouble is a plain double (macOS arm64, Windows), the
+    levels of drift n = 511 would overflow at level 263 if held in it."""
+    monkeypatch.setattr(np, "longdouble", np.float64)
+    p = PAPER_PARAMETERS
+    s = invert(bessel_drift_coefficients(p["alpha"], p["beta"], p["c_const"], 511))
+    assert len(s.jumps) == 70
 
 
 coeff_lists = st.lists(st.floats(0.1, 10.0), min_size=1, max_size=13)
@@ -75,6 +109,23 @@ def test_round_trip_reproduces_the_fraction(coeffs, zero_lead):
     for z in Z_GRID:
         want = eval_fraction(cf, z)
         assert char_function(s, z) == pytest.approx(want, rel=1e-9)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=40), st.booleans())
+def test_log_uniform_scales_round_trip_or_name_double_range(exponents, zero_lead):
+    coeffs = [10.0**e for e in exponents]
+    if zero_lead and len(coeffs) > 1:
+        coeffs[0] = 0.0
+    cf = krein_fraction(coeffs)
+    try:
+        s = invert(cf)
+    except OverflowError as exc:
+        # only a string whose own positions or masses pass 1e308 is refused
+        assert zero_lead and "outside double range" in str(exc)
+        return
+    for z in Z_GRID:
+        assert char_function(s, z) == pytest.approx(eval_fraction(cf, z), rel=1e-9)
 
 
 @given(coeff_lists)
