@@ -23,11 +23,22 @@ every position x, is a single ``logaddexp`` accumulation.  A value v held as
 its logarithm has relative error about eps*|ln v|, about 1e-14 where values
 span 1e+-100.
 
-On output, records past ``_LUMP_BOUND`` (their remaining mass is
-correspondingly negligible) fold into the last record kept, whose value is
-the exact plateau 1/s_0; values x/(1 + c x) are taken as -expm1(-log f)/c,
-which keeps near-cap records apart, and ``strings.build_string`` merges
-records whose positions round to one double.
+Entry k of a level depends only on entries up to k of the level before: the
+``logaddexp`` accumulation runs left to right, and the entry an odd level
+prepends (y0) is taken off again by the next even level (its first mass
+becomes y0).  Cutting every level to its first C entries therefore leaves
+the first C - 2 final records bit for bit as they are.  When s_0 > 0 the
+string ends at its first record whose value rounds to 1/s_0, which for the
+Bessel-drift and log-limit families is record 196 or so of 2048 at n near
+4000: ``invert`` runs the levels cut to ``_CAP`` entries, checks that the
+end falls among the exact records, and otherwise runs them again uncut.  With s_0 = 0 every record is kept, and the levels run uncut.
+
+On output, values x/(1 + c x) are taken as -expm1(-log f)/c, which keeps
+near-cap records apart, and ``strings.build_string`` merges records whose
+positions round to one double.  The records after the first one at 1/s_0
+add no value and are dropped, however far out they lie.  A string whose
+values still fall short of 1/s_0 past ``_LUMP_BOUND`` does not fit in
+doubles; its remaining mass is not folded inward.
 """
 
 from __future__ import annotations
@@ -38,10 +49,12 @@ import sys
 from .continued import ContinuedFraction, Form
 from .strings import DiscreteString, build_string
 
-# Output records past this position are folded into the previous one; keeps
-# the materialized string inside double range with headroom for the terminal.
+# A string with s_0 > 0 must reach 1/s_0 by this position; keeps the
+# materialized string inside double range with headroom for transforms.
 _LUMP_BOUND = 1e305
 _LOG_MAX = math.log(sys.float_info.max)
+# While s_0 > 0 the levels first run cut to this many entries (at least 4).
+_CAP = 256
 
 
 def invert(cf: ContinuedFraction) -> DiscreteString:
@@ -55,7 +68,8 @@ def invert(cf: ContinuedFraction) -> DiscreteString:
     n = 0 (the zero function is the characteristic function of no string).
 
     Raises OverflowError when 1/s_0, or for s_0 = 0 a position or a value of
-    the string, lies outside double range.
+    the string, lies outside double range, and for s_0 > 0 when the values
+    have not reached 1/s_0 by position 1e305.
     """
     if cf.form is not Form.KREIN:
         raise ValueError("inversion expects KREIN-form coefficients")
@@ -70,6 +84,51 @@ def invert(cf: ContinuedFraction) -> DiscreteString:
         return DiscreteString(((0.0, 1.0 / s[0]),))
     import numpy as np  # here, not at module level: no other command needs arrays
 
+    if s[0] == 0.0:
+        # values are the previous level's positions; the last position is the terminal
+        lpos, _, lg = _levels(s, n)
+        lx = np.logaddexp.accumulate(lg)
+        peak = max(lpos[-1], lx[-1]) if lx.size else lpos[-1]
+        if peak > _LOG_MAX:
+            decade = peak / math.log(10.0)
+            raise OverflowError("the string reaches about 1e%.0f, outside double range" % decade)
+        positions = [0.0, *np.exp(lpos).tolist()]
+        values = np.exp(lx).tolist()
+        head = [0.0, *values] if n % 2 == 1 else values
+        return build_string(zip(positions[:-1], head), positions[-1])
+    c = s[0]
+    # run cut first (a cut near the n/2 entries of a level saves little), and
+    # run again uncut when the end of the string is not among the exact records
+    for cap in (_CAP, n) if 4 * _CAP < n else (n,):
+        lpos, lf, _ = _levels(s, cap)
+        # record i > 0 sits at exp(lpos[i - 1]); the string ends at the first
+        # record whose value is 1/c, else at record len(head), which takes 1/c
+        values = -np.expm1(-lf[1:]) / c
+        head = np.concatenate(([0.0], values)) if n % 2 == 1 else values
+        hits = np.flatnonzero(head == 1.0 / c)
+        end = int(hits[0]) if hits.size else len(head)
+        keep = int(np.searchsorted(lpos, math.log(_LUMP_BOUND), side="right"))
+        if cap == n or min(end, keep + 1) < cap - 2:
+            break  # uncut, or the end or the first record past the bound is exact
+    if end > keep:
+        decade = lpos[keep] / math.log(10.0)
+        raise OverflowError(
+            "the string reaches about 1e%.0f before its values reach 1/s_0, outside double range" % decade
+        )
+    positions = [0.0, *np.exp(lpos[:end]).tolist()]
+    return build_string(zip(positions, [*head[:end].tolist(), 1.0 / c]))
+
+
+def _levels(s, cap):
+    """Final-level logs: the positions, log f at the origin and at every
+    previous-level position, and the previous level's gaps.
+
+    Every level keeps at most its first ``cap`` entries, which changes no bit
+    of the first cap - 2 records (see the module docstring).
+    """
+    import numpy as np
+
+    n = len(s) - 1
     # level 0: the constant string of the last coefficient
     ly0 = -math.log(s[n])
     lg = lm = np.zeros(0)
@@ -82,29 +141,10 @@ def invert(cf: ContinuedFraction) -> DiscreteString:
         if m == n:
             break
         # new masses: gap/(f_left f_right) per old gap, then the tail 1/(c f)
-        lm = np.append(lg - lf[:-1] - lf[1:], -lc - lf[-1])
+        lm = np.concatenate((lg - lf[:-1] - lf[1:], [-lc - lf[-1]]))
         if m % 2 == 1:
-            lg = np.concatenate(([ly0], ldx))
+            lg, lm = np.concatenate(([ly0], ldx))[:cap], lm[:cap]
         else:
             lg, ly0, lm = ldx, lm[0], lm[1:]
-
-    odd = n % 2 == 1
-    lpos = np.logaddexp.accumulate(np.concatenate(([ly0], ldx)) if odd else ldx)
-    if c == 0.0:
-        # values are the previous level's positions; the last position is the terminal
-        lx = np.logaddexp.accumulate(lg)
-        peak = max(lpos[-1], lx[-1]) if lx.size else lpos[-1]
-        if peak > _LOG_MAX:
-            decade = peak / math.log(10.0)
-            raise OverflowError("the string reaches about 1e%.0f, outside double range" % decade)
-        positions = [0.0, *np.exp(lpos).tolist()]
-        values = np.exp(lx).tolist()
-        head = [0.0, *values] if odd else values
-        return build_string(zip(positions[:-1], head), positions[-1])
-    # fold records past the bound into the last kept one, whose value is the
-    # exact plateau 1/s_0: mass moves inward, none is lost
-    keep = int(np.searchsorted(lpos, math.log(_LUMP_BOUND), side="right"))
-    positions = [0.0, *np.exp(lpos[:keep]).tolist()]
-    values = (-np.expm1(-lf[1:]) / c).tolist()
-    head = [0.0, *values] if odd else values
-    return build_string(zip(positions, [*head[:keep], 1.0 / c]))
+    lpos = np.logaddexp.accumulate(np.concatenate(([ly0], ldx)) if n % 2 == 1 else ldx)
+    return lpos, lf, lg

@@ -350,6 +350,8 @@ FAULTS = {
                                   "the string reaches about 1e310, outside double range"),
     "invert-plateau-overflow": ("invert --in @in", b'{"form":"krein","s":[1e-310,1]}', 1,
                                 "1/s_0 is about 1e310, outside double range"),
+    "invert-fold-short-of-plateau": ("invert --in @in", b'{"form":"krein","s":[' + b",".join([b"1e300,1e-300"] * 30)
+                                     + b"]}", 1, "before its values reach 1/s_0, outside double range"),
     "compare-inf-window": ("compare --approx @in --reference uniform --window inf", b"x,y\n0,0.5\n4,1\n", 0,
                            '"window":Infinity,'),
     "study-inf-window": ("study --family tanh --n-list 5,11,21 --reference uniform --window inf", b"", 0,

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exact_oracles import invert_exact
+from kreinstring import inversion
 from kreinstring.continued import krein_fraction, stieltjes_fraction
 from kreinstring.evaluate import char_function, eval_fraction
 from kreinstring.families import PAPER_PARAMETERS, bessel_drift_coefficients, tanh_coefficients
@@ -65,6 +66,11 @@ class TestErrors:
         with pytest.raises(OverflowError, match="1/s_0 is about 1e310, outside double range"):
             invert(krein_fraction([1e-310, 1.0]))
 
+    def test_mass_past_the_range_bound_is_not_folded_inward(self):
+        # folding the records past 1e305 would leave a round trip of 3e-3 at z = -1e-6
+        with pytest.raises(OverflowError, match="1e306 before its values reach 1/s_0, outside double range"):
+            invert(krein_fraction([1e300, 1e-300] * 30))
+
 
 def test_extreme_scales_round_trip():
     """Geometric decay stretches the intermediate levels a decade or more
@@ -95,6 +101,50 @@ def test_levels_do_not_depend_on_extended_precision(monkeypatch):
     p = PAPER_PARAMETERS
     s = invert(bessel_drift_coefficients(p["alpha"], p["beta"], p["c_const"], 511))
     assert len(s.jumps) == 70
+
+
+def _outcome(coeffs, cap):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inversion, "_CAP", cap)
+        try:
+            return invert(krein_fraction(coeffs))
+        except OverflowError as exc:
+            return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(-100.0, 100.0), min_size=66, max_size=130),
+    st.integers(4, 16),
+    st.booleans(),
+)
+@example([300.0, -300.0] * 30, 4, False)  # short of the plateau at 1e305
+def test_capped_levels_give_the_uncapped_string(exponents, cap, zero_lead):
+    """Every drawn list has n > 4 * cap, so the first pass runs capped."""
+    coeffs = [10.0**e for e in exponents]
+    if zero_lead:
+        coeffs[0] = 0.0
+    assert _outcome(coeffs, cap) == _outcome(coeffs, len(coeffs))
+
+
+@pytest.mark.parametrize("n, kept", [(4095, 195), (8191, 274)])
+def test_drift_orders_keep_their_records(n, kept):
+    """Every level is cut to its first 256 entries; n = 8191 runs again uncut."""
+    p = PAPER_PARAMETERS
+    cf = bessel_drift_coefficients(p["alpha"], p["beta"], p["c_const"], n)
+    s = invert(cf)
+    assert len(s.jumps) == kept
+    assert s.jumps[-1][1] == 1.0 / cf.coefficients[0]
+    assert s == _outcome(cf.coefficients, n)
+
+
+def test_cut_pass_short_of_the_plateau_runs_uncut():
+    """c * x underflows: log f is 0.0 at every exact record and no value
+    reaches 1/s_0 among them, so the cut pass is not accepted."""
+    coeffs = [1e-300] + [10.0 ** (40 + k / 10) for k in range(1025)]
+    s = invert(krein_fraction(coeffs))
+    assert s.jumps[-1][1] == 1.0 / coeffs[0]
+    assert s == _outcome(coeffs, len(coeffs))
 
 
 coeff_lists = st.lists(st.floats(0.1, 10.0), min_size=1, max_size=13)
@@ -146,6 +196,13 @@ def test_output_is_canonical_and_plateau_exact(coeffs):
     ),
     st.booleans(),
 )
+# the exact value before the plateau is 10 - 5e-16, which rounds onto it
+@example([Fraction(1, 10), Fraction(33, 10), Fraction(2, 5), Fraction(2538057, 253810), Fraction(10513949, 1051395),
+          Fraction(407635481076455, 40766984081483), Fraction(1, 10), Fraction(1, 10)], False)
+# 1/s_0 and 1/float(s_0) round to neighbouring doubles
+@example([Fraction(2773810822, 17615526885), Fraction(343, 330), Fraction(3104, 510), Fraction(37188, 3950),
+          Fraction(3255718, 626390), Fraction(92247623, 11484780), Fraction(1876571268, 187657127),
+          Fraction(881481481, 2249447080), Fraction(1, 10)], False)
 def test_matches_exact_rational_recurrences(coeffs, zero_lead):
     if zero_lead and len(coeffs) > 1:
         coeffs = [Fraction(0)] + coeffs[1:]
@@ -153,10 +210,20 @@ def test_matches_exact_rational_recurrences(coeffs, zero_lead):
         return
     want_pairs, want_term = invert_exact(coeffs)
     s = invert(krein_fraction([float(v) for v in coeffs]))
-    assert len(s.jumps) == len(want_pairs)
-    for (gx, gy), (ex, ey) in zip(s.jumps, want_pairs):
-        assert gx == pytest.approx(float(ex), abs=1e-13, rel=1e-13)
-        assert gy == pytest.approx(float(ey), abs=1e-13, rel=1e-13)
+    got, want = list(s.jumps), [(float(x), float(y)) for x, y in want_pairs]
+    for (gx, gy), (ex, ey) in zip(got, want):
+        assert gx == pytest.approx(ex, abs=1e-13, rel=1e-13)
+        assert gy == pytest.approx(ey, abs=1e-13, rel=1e-13)
+    if coeffs[0] == 0:
+        assert len(got) == len(want)
+    else:
+        # a value within the tolerance of 1/s_0 may round onto it on one side
+        # and not on the other: both lists end at the plateau, and the extra
+        # records of the longer one may only repeat it
+        common = min(len(got), len(want))
+        extra = got[common:] + want[common:]
+        plateau = pytest.approx(1.0 / float(coeffs[0]), abs=1e-13, rel=1e-13)
+        assert all(y == plateau for _, y in [got[-1], want[-1], *extra])
     if want_term is None:
         assert s.terminal is None
     else:
