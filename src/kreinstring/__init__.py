@@ -27,7 +27,7 @@ from .moments import (
     stieltjes_from_moments_exact,
 )
 from .strings import DiscreteString, eval_mass, validate_string
-from .transforms import dual, flip_form, remove_zero_atom
+from .transforms import dual, remove_zero_atom
 
 __version__ = "0.1.0"
 
@@ -48,7 +48,6 @@ __all__ = [
     "dual",
     "eval_fraction",
     "eval_mass",
-    "flip_form",
     "invert",
     "krein_fraction",
     "levy_exponent",

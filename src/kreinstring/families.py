@@ -12,7 +12,7 @@ Three KREIN-form families with known characteristic functions:
 
 ``reference_mass`` exposes the two closed-form mass curves used to judge
 reconstructions.  ``FAMILIES`` and ``REFERENCES`` list what exists by name,
-for the command line and the scripts.
+for the command line.
 """
 
 from __future__ import annotations
@@ -105,11 +105,11 @@ REFERENCES = ("bm-drift", "uniform")
 PAPER_PARAMETERS = {"alpha": 0.5, "beta": 2.0, "c_const": 1.0 / math.sqrt(2.0 * math.pi)}
 
 
-def reference_mass(name: str, x: float, length: float = 1.0) -> float:
+def reference_mass(name: str, x: float) -> float:
     """Closed-form cumulative mass of a named reference string.
 
     ``bm-drift``: M(x) = 2x/(1+4x), the drifted-Brownian-motion string.
-    ``uniform``:  M(x) = x up to ``length``, infinite beyond.
+    ``uniform``:  M(x) = x up to 1, infinite beyond.
     """
     if not x >= 0.0:
         raise ValueError("mass is defined for x >= 0 only")
@@ -117,5 +117,5 @@ def reference_mass(name: str, x: float, length: float = 1.0) -> float:
         # the quotient is exactly 0.5 long before 4x overflows
         return 2.0 * x / (1.0 + 4.0 * x) if x < 1e300 else 0.5
     if name == "uniform":
-        return x if x < length else math.inf
+        return x if x < 1.0 else math.inf
     raise ValueError(f"unknown reference {name!r} (choose bm-drift or uniform)")

@@ -27,18 +27,23 @@ Entry k of a level depends only on entries up to k of the level before: the
 ``logaddexp`` accumulation runs left to right, and the entry an odd level
 prepends (y0) is taken off again by the next even level (its first mass
 becomes y0).  Cutting every level to its first C entries therefore leaves
-the first C - 2 final records bit for bit as they are.  When s_0 > 0 the
-string ends at its first record whose value rounds to 1/s_0, which for the
-Bessel-drift and log-limit families is record 196 or so of 2048 at n near
-4000: ``invert`` runs the levels cut to ``_CAP`` entries, checks that the
-end falls among the exact records, and otherwise runs them again uncut.  With s_0 = 0 every record is kept, and the levels run uncut.
+the first C - 2 final records bit for bit as they are.
 
-On output, values x/(1 + c x) are taken as -expm1(-log f)/c, which keeps
-near-cap records apart, and ``strings.build_string`` merges records whose
-positions round to one double.  The records after the first one at 1/s_0
-add no value and are dropped, however far out they lie.  A string whose
-values still fall short of 1/s_0 past ``_LUMP_BOUND`` does not fit in
-doubles; its remaining mass is not folded inward.
+The string ends at the plateau 1/s_0: at its first record whose value is
+1/s_0, else at its last record.  With s_0 = 0 the plateau 1/s_0 = inf is the
+terminal, and the levels run uncut.  With s_0 > 0 the end comes early,
+record 196 or so of 2048 for the Bessel-drift and log-limit families at n
+near 4000: ``invert`` runs the levels cut to ``_CAP`` entries, checks that
+the end falls among the exact records, and otherwise runs them again uncut.
+
+On output, a value x/f with f = 1 + s_0 x is -expm1(-log f)/s_0, which keeps
+near-plateau records apart, or exp(log x - log f) where log f is below the
+normal range (always when s_0 = 0) and that quotient keeps no digits.
+``strings.build_string`` merges records whose positions round to one double.
+The records after the first one at 1/s_0 add no value and are dropped,
+however far out they lie.  A string whose values still fall short of 1/s_0
+past ``_LUMP_BOUND`` does not fit in doubles; its remaining mass is not
+folded inward.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from .strings import DiscreteString, build_string
 # A string with s_0 > 0 must reach 1/s_0 by this position; keeps the
 # materialized string inside double range with headroom for transforms.
 _LUMP_BOUND = 1e305
+# A string with s_0 = 0 must fit in doubles, its positions and values alike.
 _LOG_MAX = math.log(sys.float_info.max)
 # While s_0 > 0 the levels first run cut to this many entries (at least 4).
 _CAP = 256
@@ -60,12 +66,13 @@ _CAP = 256
 def invert(cf: ContinuedFraction) -> DiscreteString:
     """Discrete string whose KREIN-form expansion has exactly cf's coefficients.
 
-    The reconstruction has about n/2 point masses for n+1 coefficients.  When
-    s_0 > 0 the final plateau value is exactly 1/s_0; when s_0 = 0 the
-    would-be infinite final value is encoded as a terminal point at the last
-    computed position.  Positions and values agree with exact arithmetic to
-    a relative error of about eps*|ln v| for a value v.  Rejects s_0 = 0 with
-    n = 0 (the zero function is the characteristic function of no string).
+    The reconstruction has about n/2 point masses for n+1 coefficients and
+    ends at the plateau 1/s_0.  When s_0 > 0 the last value is exactly 1/s_0;
+    when s_0 = 0 the plateau is 1/s_0 = inf and its position is the terminal.
+    Positions and values agree with exact arithmetic to a relative error of
+    about eps*|ln v| for a value v, also where s_0 v is below the normal range.
+    Rejects s_0 = 0 with n = 0 (the zero function is the characteristic
+    function of no string).
 
     Raises OverflowError when 1/s_0, or for s_0 = 0 a position or a value of
     the string, lies outside double range, and for s_0 > 0 when the values
@@ -84,30 +91,26 @@ def invert(cf: ContinuedFraction) -> DiscreteString:
         return DiscreteString(((0.0, 1.0 / s[0]),))
     import numpy as np  # here, not at module level: no other command needs arrays
 
-    if s[0] == 0.0:
-        # values are the previous level's positions; the last position is the terminal
-        lpos, _, lg = _levels(s, n)
-        lx = np.logaddexp.accumulate(lg)
-        peak = max(lpos[-1], lx[-1]) if lx.size else lpos[-1]
-        if peak > _LOG_MAX:
-            decade = peak / math.log(10.0)
-            raise OverflowError("the string reaches about 1e%.0f, outside double range" % decade)
-        positions = [0.0, *np.exp(lpos).tolist()]
-        values = np.exp(lx).tolist()
-        head = [0.0, *values] if n % 2 == 1 else values
-        return build_string(zip(positions[:-1], head), positions[-1])
     c = s[0]
+    plateau, bound = (1.0 / c, math.log(_LUMP_BOUND)) if c > 0.0 else (math.inf, _LOG_MAX)
     # run cut first (a cut near the n/2 entries of a level saves little), and
     # run again uncut when the end of the string is not among the exact records
-    for cap in (_CAP, n) if 4 * _CAP < n else (n,):
-        lpos, lf, _ = _levels(s, cap)
-        # record i > 0 sits at exp(lpos[i - 1]); the string ends at the first
-        # record whose value is 1/c, else at record len(head), which takes 1/c
-        values = -np.expm1(-lf[1:]) / c
+    for cap in (_CAP, n) if c > 0.0 and 4 * _CAP < n else (n,):
+        lpos, lf, lx = _levels(s, cap)
+        if c == 0.0 and (peak := max([lpos[-1], *lx[-1:]])) > _LOG_MAX:
+            decade = peak / math.log(10.0)
+            raise OverflowError("the string reaches about 1e%.0f, outside double range" % decade)
+        # record i > 0 sits at exp(lpos[i - 1]) and takes the value x/f with
+        # f = 1 + c x; below the normal range -expm1(-log f)/c keeps no digits
+        low = lf < sys.float_info.min
+        values = np.exp(lx - lf, where=low, out=np.zeros_like(lf))
+        np.divide(-np.expm1(-lf), c, where=~low, out=values)
         head = np.concatenate(([0.0], values)) if n % 2 == 1 else values
-        hits = np.flatnonzero(head == 1.0 / c)
+        # the string ends at its first record whose value is the plateau,
+        # else at record len(head), which takes it
+        hits = np.flatnonzero(head == plateau)
         end = int(hits[0]) if hits.size else len(head)
-        keep = int(np.searchsorted(lpos, math.log(_LUMP_BOUND), side="right"))
+        keep = int(np.searchsorted(lpos, bound, side="right"))
         if cap == n or min(end, keep + 1) < cap - 2:
             break  # uncut, or the end or the first record past the bound is exact
     if end > keep:
@@ -116,12 +119,15 @@ def invert(cf: ContinuedFraction) -> DiscreteString:
             "the string reaches about 1e%.0f before its values reach 1/s_0, outside double range" % decade
         )
     positions = [0.0, *np.exp(lpos[:end]).tolist()]
-    return build_string(zip(positions, [*head[:end].tolist(), 1.0 / c]))
+    records = [*zip(positions, head[:end].tolist()), (positions[-1], plateau)]
+    # the plateau 1/s_0 = inf is the terminal
+    terminal = records.pop()[0] if c == 0.0 else None
+    return build_string(records, terminal)
 
 
 def _levels(s, cap):
-    """Final-level logs: the positions, log f at the origin and at every
-    previous-level position, and the previous level's gaps.
+    """Final-level logs: the positions, log f = log(1 + s_0 x) and log x at
+    every previous-level position x.
 
     Every level keeps at most its first ``cap`` entries, which changes no bit
     of the first cap - 2 records (see the module docstring).
@@ -147,4 +153,4 @@ def _levels(s, cap):
         else:
             lg, ly0, lm = ldx, lm[0], lm[1:]
     lpos = np.logaddexp.accumulate(np.concatenate(([ly0], ldx)) if n % 2 == 1 else ldx)
-    return lpos, lf, lg
+    return lpos, lf[1:], np.logaddexp.accumulate(lg)

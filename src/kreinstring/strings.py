@@ -37,22 +37,12 @@ class DiscreteString:
     def __post_init__(self) -> None:
         if not self.jumps:
             raise ValueError("a string needs at least one jump record")
-        x0, y0 = self.jumps[0]
-        if x0 != 0.0:
+        if self.jumps[0][0] != 0.0:
             raise ValueError("canonical form starts at position 0")
-        prev_x, prev_y = x0, 0.0
-        for i, (x, y) in enumerate(self.jumps):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(f"non-finite entry at jump {i}: ({x}, {y})")
-            if x < 0.0 or y < 0.0:
-                raise ValueError(f"negative entry at jump {i}: ({x}, {y})")
-            if i > 0 and x <= prev_x:
-                raise ValueError(f"positions not strictly increasing at jump {i}")
-            if y < prev_y:
-                raise ValueError(f"values decrease at jump {i}")
-            if y == prev_y and i > 0:
+        _check_records(self.jumps, "jump")
+        for i, ((_, y), (_, next_y)) in enumerate(zip(self.jumps, self.jumps[1:]), 1):
+            if next_y == y:
                 raise ValueError(f"zero mass increment at jump {i}")
-            prev_x, prev_y = x, y
         if self.terminal is not None:
             last_x, last_y = self.jumps[-1]
             if not math.isfinite(self.terminal) or self.terminal < 0.0:
@@ -63,6 +53,24 @@ class DiscreteString:
                 self.jumps[-2][1] if len(self.jumps) > 1 else 0.0
             ):
                 raise ValueError("terminal coincides with a mass-carrying jump")
+
+
+def _check_records(records, label: str) -> None:
+    """Reject (position, value) records unless every entry is finite and
+    non-negative, positions strictly increase and values never decrease."""
+    prev_x = prev_y = -math.inf
+    for i, (x, y) in enumerate(records):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite entry at {label} {i}: ({x}, {y})")
+        if x < 0.0 or y < 0.0:
+            raise ValueError(f"negative entry at {label} {i}: ({x}, {y})")
+        if x <= prev_x:
+            raise ValueError(
+                f"positions not increasing at {label} {i}: they must be strictly increasing"
+            )
+        if y < prev_y:
+            raise ValueError(f"values decrease at {label} {i}")
+        prev_x, prev_y = x, y
 
 
 def _canonical_jumps(records: Iterable[Tuple[float, float]]) -> Tuple[Tuple[float, float], ...]:
@@ -90,16 +98,7 @@ def validate_string(
     pairs = [(float(x), float(y)) for x, y in raw]
     if terminal is not None:
         terminal = float(terminal)
-    for i, (x, y) in enumerate(pairs):
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"non-finite entry at row {i}: ({x}, {y})")
-        if x < 0.0 or y < 0.0:
-            raise ValueError(f"negative entry at row {i}: ({x}, {y})")
-        if i > 0:
-            if x <= pairs[i - 1][0]:
-                raise ValueError(f"positions not increasing at row {i}")
-            if y < pairs[i - 1][1]:
-                raise ValueError(f"values decrease at row {i}")
+    _check_records(pairs, "row")
     return DiscreteString(_canonical_jumps(pairs), terminal)
 
 

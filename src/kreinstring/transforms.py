@@ -1,4 +1,4 @@
-"""String-level and fraction-level transforms.
+"""String transforms.
 
 * ``dual``: the right-continuous inverse of the mass function.  Plateau
   heights become jump positions and vice versa; it is an exact involution
@@ -6,15 +6,12 @@
 * ``remove_zero_atom``: the string whose spectral measure is the original one
   with the atom at zero deleted, realized by an exact piecewise-linear time
   change.
-* ``flip_form``: toggles the layout tag of a continued fraction.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
-from .continued import ContinuedFraction, Form
 from .strings import DiscreteString, build_string
 
 
@@ -75,8 +72,3 @@ def remove_zero_atom(s: DiscreteString) -> DiscreteString:
         prev_t, prev_y = t, y
     return build_string(pairs, terminal=x_new)
 
-
-def flip_form(cf: ContinuedFraction) -> ContinuedFraction:
-    """Swap the KREIN/STIELTJES layout tag; coefficients are untouched."""
-    other = Form.STIELTJES if cf.form is Form.KREIN else Form.KREIN
-    return dataclasses.replace(cf, form=other)

@@ -138,7 +138,6 @@ class TestReferenceMass:
     def test_uniform_values(self):
         assert reference_mass("uniform", 0.3) == 0.3
         assert reference_mass("uniform", 1.0) == math.inf
-        assert reference_mass("uniform", 0.3, length=0.2) == math.inf
 
     def test_rejects_negative_position(self):
         with pytest.raises(ValueError, match="x >= 0"):

@@ -147,6 +147,22 @@ def test_cut_pass_short_of_the_plateau_runs_uncut():
     assert s == _outcome(coeffs, len(coeffs))
 
 
+@pytest.mark.parametrize("s0", [1e-300, 1e-290])
+def test_values_below_the_normal_range_come_from_logs(s0):
+    """s_0 x is below 2.2e-308 at every record before the plateau, where
+    -expm1(-log f)/s_0 would round values to multiples of 4.9e-324/s_0."""
+    coeffs = [s0] + [1e30] * 40
+    want_pairs, _ = invert_exact([Fraction(v) for v in coeffs])
+    want = build_string((float(x), float(y)) for x, y in want_pairs)
+    s = invert(krein_fraction(coeffs))
+    # the exact 18th and 19th positions are a few ulps apart and merge
+    assert len(s.jumps) == len(want.jumps) - 1
+    for (gx, gy), (ex, ey) in zip(s.jumps[:-1], want.jumps):
+        assert gx == pytest.approx(ex, rel=1e-12, abs=0.0)
+        assert gy == pytest.approx(ey, rel=1e-12, abs=0.0)
+    assert s.jumps[-1][1] == 1.0 / s0
+
+
 coeff_lists = st.lists(st.floats(0.1, 10.0), min_size=1, max_size=13)
 
 
@@ -275,9 +291,11 @@ def test_refinement_settles_the_leading_record():
     assert all(lo < hi for lo, hi in zip(devs[1:], devs))
     assert devs[-1] <= 1e-4
 
-def test_long_tail_is_folded_into_double_range():
+
+def test_long_tail_ends_at_its_first_record_on_the_cap():
     """Families whose string approaches its mass cap only at huge x still
-    materialize: far records fold into the last representable one."""
+    materialize: the string ends at its first record whose value rounds to
+    the cap, and the records past it are dropped, however far out they lie."""
     coeffs = [2.0 if j % 2 == 0 else 4.0 for j in range(1024)]
     s = invert(krein_fraction(coeffs))
     assert all(math.isfinite(x) for x, _ in s.jumps)

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from kreinstring.continued import Form, krein_fraction
 from kreinstring.evaluate import char_function
 from kreinstring.strings import DiscreteString, eval_mass
-from kreinstring.transforms import dual, flip_form, remove_zero_atom
+from kreinstring.transforms import dual, remove_zero_atom
 
 Z_GRID = (-0.5, -1.0, -2.0, -5.0)
 
@@ -101,11 +100,3 @@ class TestRemoveZeroAtom:
         with pytest.raises(ValueError, match="degenerates"):
             remove_zero_atom(DiscreteString(((0.0, 2.0),)))
 
-
-def test_flip_form_is_involutive():
-    cf = krein_fraction([1.0, 2.0], terminated=True)
-    flipped = flip_form(cf)
-    assert flipped.form is Form.STIELTJES
-    assert flipped.coefficients == cf.coefficients
-    assert flipped.terminated is True
-    assert flip_form(flipped) == cf
