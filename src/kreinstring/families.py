@@ -47,10 +47,10 @@ def bessel_drift_coefficients(alpha: float, beta: float, c_const: float, n: int)
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    if c_const <= 0.0:
-        raise ValueError("the constant must be positive")
+    if not 0.0 < beta < math.inf:
+        raise ValueError("beta must be finite and positive")
+    if not 0.0 < c_const < math.inf:
+        raise ValueError("the constant must be finite and positive")
     if n < 0:
         raise ValueError("need n >= 0")
     gamma = c_const * math.gamma(1.0 - alpha) * beta**alpha
@@ -77,8 +77,8 @@ def log_limit_coefficients(beta: float, n: int) -> ContinuedFraction:
     characteristic function is 2 / log(1 - z/beta); the coefficients agree
     with an exact-rational expansion of that closed form.
     """
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
+    if not 0.0 < beta < math.inf:
+        raise ValueError("beta must be finite and positive")
     if n < 0:
         raise ValueError("need n >= 0")
     coeffs = []

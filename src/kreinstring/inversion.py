@@ -18,16 +18,28 @@ not a defect.  Their logarithms are ordinary doubles on every host.
 Difference form keeps relative precision.  Cumulative values saturate toward
 1/c within a level, and differencing them would zero out every mass below
 the rounding threshold.  Updates of gaps and masses are products and
-quotients, sums of logs here; the one sum a level needs, log(1 + c x) at
-every position x, is a single ``logaddexp`` accumulation.  A value v held as
-its logarithm has relative error about eps*|ln v|, about 1e-14 where values
-span 1e+-100.
+quotients, sums of logs here.  A value v held as its logarithm has relative
+error about eps*|ln v|, about 1e-14 where values span 1e+-100.
 
-Entry k of a level depends only on entries up to k of the level before: the
-``logaddexp`` accumulation runs left to right, and the entry an odd level
+The one sum a level needs is log f = log(1 + c x) at every position x, the
+prefix sums of exp(a) with a = [0, log(c * gap), ...].  Every level but the
+last takes them linearly, as log(cumsum(exp(a))), up to the first sum that
+overflows, and from the last finite one on as a ``logaddexp`` accumulation.
+Since a[0] = 0, every linear sum is at least 1: its log is accurate to
+about eps absolutely, and an exp that underflows loses less than 2**-1074
+of it.  An intermediate level needs only that absolute accuracy, which is
+relative accuracy in its gaps and masses.  The last level keeps
+``logaddexp`` for all of log f, which then is accurate relative to itself
+also where c x < eps, as -expm1(-log f)/s_0 needs.  Linear sums run at SIMD
+speed, where ``logaddexp.accumulate`` pays a scalar exp and log1p per entry.
+
+Entry k of a level depends only on entries up to k of the level before:
+both sums run left to right, the switch between them comes at the first
+overflowing sum, which only a prefix decides, and the entry an odd level
 prepends (y0) is taken off again by the next even level (its first mass
 becomes y0).  Cutting every level to its first C entries therefore leaves
-the first C - 2 final records bit for bit as they are.
+the first C - 2 final records bit for bit as they are.  The levels live in
+buffers of the largest level's size, allocated once per pass.
 
 The string ends at the plateau 1/s_0: at its first record whose value is
 1/s_0, else at its last record.  With s_0 = 0 the plateau 1/s_0 = inf is the
@@ -36,9 +48,13 @@ record 196 or so of 2048 for the Bessel-drift and log-limit families at n
 near 4000: ``invert`` runs the levels cut to ``_CAP`` entries, checks that
 the end falls among the exact records, and otherwise runs them again uncut.
 
-On output, a value x/f with f = 1 + s_0 x is -expm1(-log f)/s_0, which keeps
-near-plateau records apart, or exp(log x - log f) where log f is below the
-normal range (always when s_0 = 0) and that quotient keeps no digits.
+On output, a value x/f with f = 1 + s_0 x comes from one of two formulas,
+whichever has the smaller error.  -expm1(-log f)/s_0 carries the error of
+log(s_0 x), shrunk by 1/f, and so keeps near-plateau records apart.
+exp(log x - log f) carries the error of log x, which is smaller where s_0 x
+is small and x is not: at s_0 = 1e-237 and x = 9 the first formula is off
+by 1.1e-13 and this one by 1e-16.  Where log f is below the normal range
+(always when s_0 = 0) the first formula keeps no digits at all.
 ``strings.build_string`` merges records whose positions round to one double.
 The records after the first one at 1/s_0 add no value and are dropped,
 however far out they lie.  A string whose values still fall short of 1/s_0
@@ -92,6 +108,7 @@ def invert(cf: ContinuedFraction) -> DiscreteString:
     import numpy as np  # here, not at module level: no other command needs arrays
 
     c = s[0]
+    lc = math.log(c) if c > 0.0 else -math.inf
     plateau, bound = (1.0 / c, math.log(_LUMP_BOUND)) if c > 0.0 else (math.inf, _LOG_MAX)
     # run cut first (a cut near the n/2 entries of a level saves little), and
     # run again uncut when the end of the string is not among the exact records
@@ -101,10 +118,12 @@ def invert(cf: ContinuedFraction) -> DiscreteString:
             decade = peak / math.log(10.0)
             raise OverflowError("the string reaches about 1e%.0f, outside double range" % decade)
         # record i > 0 sits at exp(lpos[i - 1]) and takes the value x/f with
-        # f = 1 + c x; below the normal range -expm1(-log f)/c keeps no digits
-        low = lf < sys.float_info.min
-        values = np.exp(lx - lf, where=low, out=np.zeros_like(lf))
-        np.divide(-np.expm1(-lf), c, where=~low, out=values)
+        # f = 1 + c x from the formula with the smaller error: exp(log x - log f)
+        # carries that of log x, -expm1(-log f)/c that of log(c x) over f, and
+        # no digit at all where log f is below the normal range
+        logs = (lf < sys.float_info.min) | (np.abs(lx) < np.abs(lc + lx) * np.exp(-lf))
+        values = np.exp(lx - lf, where=logs, out=np.zeros_like(lf))
+        np.divide(-np.expm1(-lf), c, where=~logs, out=values)
         head = np.concatenate(([0.0], values)) if n % 2 == 1 else values
         # the string ends at its first record whose value is the plateau,
         # else at record len(head), which takes it
@@ -127,7 +146,7 @@ def invert(cf: ContinuedFraction) -> DiscreteString:
 
 def _levels(s, cap):
     """Final-level logs: the positions, log f = log(1 + s_0 x) and log x at
-    every previous-level position x.
+    every previous-level position x.  Needs n >= 1.
 
     Every level keeps at most its first ``cap`` entries, which changes no bit
     of the first cap - 2 records (see the module docstring).
@@ -135,22 +154,47 @@ def _levels(s, cap):
     import numpy as np
 
     n = len(s) - 1
-    # level 0: the constant string of the last coefficient
-    ly0 = -math.log(s[n])
-    lg = lm = np.zeros(0)
-    for m in range(1, n + 1):
-        c = s[n - m]
-        lc = math.log(c) if c > 0.0 else -math.inf
-        # log f at the origin and at every previous-level position
-        lf = np.logaddexp.accumulate(np.concatenate(([0.0], lc + lg)))
-        ldx = 2.0 * lf[1:] + lm  # time-changed gaps f^2 * mass
-        if m == n:
-            break
-        # new masses: gap/(f_left f_right) per old gap, then the tail 1/(c f)
-        lm = np.concatenate((lg - lf[:-1] - lf[1:], [-lc - lf[-1]]))
-        if m % 2 == 1:
-            lg, lm = np.concatenate(([ly0], ldx))[:cap], lm[:cap]
-        else:
-            lg, ly0, lm = ldx, lm[0], lm[1:]
-    lpos = np.logaddexp.accumulate(np.concatenate(([ly0], ldx)) if n % 2 == 1 else ldx)
-    return lpos, lf[1:], np.logaddexp.accumulate(lg)
+    # a level holds at most min(cap, n // 2) + 1 entries; a[0] stays 0
+    size = min(cap, n // 2) + 1
+    a, lf, lg, lm, spare = np.zeros(size), np.empty(size), np.empty(size), np.empty(size), np.empty(size)
+    # level 0: the constant string of the last coefficient, y0 alone.  After
+    # an even level lm holds y0 in slot 0 and the k masses after it; after an
+    # odd level the masses start at slot 0.
+    lm[0] = -math.log(s[n])
+    k = 0  # gaps in lg
+    with np.errstate(over="ignore"):  # linear sums past double range are inf
+        for m in range(1, n + 1):
+            c = s[n - m]
+            lc = math.log(c) if c > 0.0 else -math.inf
+            lg_k, a_k, lf_k, lf1 = lg[:k], a[: k + 1], lf[: k + 1], lf[1 : k + 1]
+            # log f at the origin and at every previous-level position
+            np.add(lg_k, lc, out=a[1 : k + 1])
+            if m == n:
+                # -expm1(-log f)/c needs log f accurate relative to itself
+                np.logaddexp.accumulate(a_k, out=lf_k)
+                lx = np.logaddexp.accumulate(lg_k)
+            else:
+                # linear prefix sums (they never decrease) up to the first
+                # that overflows, then logaddexp on from the last finite one
+                np.exp(a_k, out=lf_k)
+                np.add.accumulate(lf_k, out=lf_k)
+                j = k + 1 if lf[k] < math.inf else int(lf_k.searchsorted(math.inf))
+                np.log(lf[:j], out=lf[:j])
+                if j <= k:
+                    a[j - 1] = lf[j - 1]
+                    np.logaddexp.accumulate(a[j - 1 : k + 1], out=lf[j - 1 : k + 1])
+                # new masses: gap/(f_left f_right) per old gap, then the tail 1/(c f)
+                np.subtract(lg_k, lf[:k], out=spare[:k])
+                np.subtract(spare[:k], lf1, out=spare[:k])
+                spare[k] = -lc - lf[k]
+            # time-changed gaps f^2 * mass; an odd level prepends y0
+            odd = m % 2
+            ldx = lg[odd : odd + k]
+            np.add(lf1, lf1, out=ldx)
+            np.add(ldx, lm[odd : odd + k], out=ldx)
+            if odd:
+                lg[0] = lm[0]
+            if m == n:
+                return np.logaddexp.accumulate(lg[: odd + k]), lf1, lx
+            k = min(k + odd, cap)
+            lm, spare = spare, lm

@@ -341,6 +341,13 @@ FAULTS = {
     "stieltjes-underflow": ("eval --coeffs @in --z=-1e-300", b'{"form":"stieltjes","s":[1e-300,1,1e-300]}', 0, "inf"),
     "string-underflow": ("eval --string @in --z=-1e-300", b"x,y\n0,1e-300\n", 0, "inf"),
     "study-order-zero": ("study --family bessel-drift --n-list 0,1,2 --reference bm-drift", b"", 1, "positive"),
+    "coeffs-nan-beta": ("coeffs log-limit -n 3 --beta nan", b"", 1, "beta must be finite and positive"),
+    "coeffs-inf-constant": ("coeffs bessel-drift -n 5 --alpha 0.5 --beta 2 --c-const inf", b"", 1,
+                            "the constant must be finite and positive"),
+    "study-nan-beta": ("study --family bessel-drift --alpha 0.5 --beta nan --c-const 1 --n-list 5,11,21 "
+                       "--reference bm-drift", b"", 1, "beta must be finite and positive"),
+    "study-inf-constant": ("study --family bessel-drift --alpha 0.5 --beta 2 --c-const inf --n-list 5,11,21 "
+                           "--reference bm-drift", b"", 1, "the constant must be finite and positive"),
     "study-zero-error": ("study --family tanh --n-list 1,2,3 --reference uniform --window 0.1", b"", 1, "cannot fit"),
     "compare-nan-window": ("compare --approx @in --reference uniform --window nan", b"x,y\n0,0.5\n4,1\n", 1,
                            "window must be positive"),

@@ -88,7 +88,11 @@ class TestBesselDrift:
             (0.0, 2.0, 1.0, "alpha"),
             (1.0, 2.0, 1.0, "alpha"),
             (0.5, 0.0, 1.0, "beta"),
+            (0.5, math.nan, 1.0, "beta"),
+            (0.5, math.inf, 1.0, "beta"),
             (0.5, 2.0, -1.0, "constant"),
+            (0.5, 2.0, math.nan, "constant"),
+            (0.5, 2.0, math.inf, "constant"),
         ],
     )
     def test_parameter_validation(self, alpha, beta, c_const, message):
@@ -123,8 +127,9 @@ class TestLogLimit:
         assert worst[1e-3] < worst[1e-2]
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError, match="beta"):
-            log_limit_coefficients(-2.0, 5)
+        for beta in (-2.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="beta"):
+                log_limit_coefficients(beta, 5)
         with pytest.raises(ValueError, match="n >= 0"):
             log_limit_coefficients(2.0, -1)
 

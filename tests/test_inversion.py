@@ -119,8 +119,11 @@ def _outcome(coeffs, cap):
     st.booleans(),
 )
 @example([300.0, -300.0] * 30, 4, False)  # short of the plateau at 1e305
+@example([300.0] + [-300.0, -300.0, 3.0] * 9, 4, False)  # sums overflow past entry 4
 def test_capped_levels_give_the_uncapped_string(exponents, cap, zero_lead):
-    """Every drawn list has n > 4 * cap, so the first pass runs capped."""
+    """Every list has n > 4 * cap, so the first pass runs capped.  Where the
+    linear sums of a level overflow only after its first cap entries, the
+    uncapped level switches to logaddexp there and the capped one never."""
     coeffs = [10.0**e for e in exponents]
     if zero_lead:
         coeffs[0] = 0.0
@@ -161,6 +164,14 @@ def test_values_below_the_normal_range_come_from_logs(s0):
         assert gx == pytest.approx(ex, rel=1e-12, abs=0.0)
         assert gy == pytest.approx(ey, rel=1e-12, abs=0.0)
     assert s.jumps[-1][1] == 1.0 / s0
+
+
+def test_last_level_keeps_log_f_accurate_relative_to_itself():
+    """s_0 x is 1e-19 at the first record and 1e-9 at the second.  A linear
+    prefix sum holds log f = log(1 + s_0 x) to about eps, 2e-7 of itself at
+    the second record, and -expm1(-log f)/s_0 would pass that on to its value;
+    the last level takes log f from logaddexp."""
+    _assert_matches_exact([Fraction(1e-20)] + [Fraction(1, 10**k) for k in range(12)])
 
 
 coeff_lists = st.lists(st.floats(0.1, 10.0), min_size=1, max_size=13)
@@ -224,9 +235,34 @@ def test_matches_exact_rational_recurrences(coeffs, zero_lead):
         coeffs = [Fraction(0)] + coeffs[1:]
     if coeffs[0] == 0 and len(coeffs) == 1:
         return
+    _assert_matches_exact(coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.floats(-300.0, -1.0),
+    st.lists(st.fractions(min_value=Fraction(1, 10), max_value=Fraction(10)), min_size=1, max_size=9),
+)
+# s_0 x is 1e-237 at the first record: -expm1(-log f)/s_0 carries the error
+# of log(s_0 x), 1.1e-13 of the value, where exp(log x - log f) carries 1e-16
+@example(-237.5, [Fraction(1, 10), Fraction(83862373353818411203956355116, 744123288501515640507389136965)])
+# the exact records at 10 - 2e-15 and 10 are a few ulps apart and merge
+@example(-19.0, [Fraction(1, 10), Fraction(3734, 375), Fraction(7825, 784), Fraction(1, 10),
+                 Fraction(11405295241, 1140529525), Fraction(52118528467, 5211852850), Fraction(1, 10), Fraction(1, 10)])
+def test_small_leading_coefficient_matches_exact_rational_recurrences(exponent, rest):
+    """s_0 from 1e-300 to 1e-1 takes s_0 x from about 1e-302 to order 1,
+    through both formulas for a value."""
+    _assert_matches_exact([Fraction(10.0**exponent), *rest], merge_close=True)
+
+
+def _assert_matches_exact(coeffs, merge_close=False):
     want_pairs, want_term = invert_exact(coeffs)
     s = invert(krein_fraction([float(v) for v in coeffs]))
     got, want = list(s.jumps), [(float(x), float(y)) for x, y in want_pairs]
+    if merge_close:
+        # records a few ulps apart (where the values climb toward a far plateau)
+        # may round onto one double on one side only: merge them on both
+        got, want = _merge_close(got), _merge_close(want)
     for (gx, gy), (ex, ey) in zip(got, want):
         assert gx == pytest.approx(ex, abs=1e-13, rel=1e-13)
         assert gy == pytest.approx(ey, abs=1e-13, rel=1e-13)
@@ -244,6 +280,18 @@ def test_matches_exact_rational_recurrences(coeffs, zero_lead):
         assert s.terminal is None
     else:
         assert s.terminal == pytest.approx(float(want_term), rel=1e-13)
+
+
+def _merge_close(records):
+    """Records whose positions agree within the tolerance merge into one, with
+    the first position and the last value."""
+    merged = []
+    for x, y in records:
+        if merged and x == pytest.approx(merged[-1][0], abs=1e-13, rel=1e-13):
+            merged[-1] = (merged[-1][0], y)
+        else:
+            merged.append((x, y))
+    return merged
 
 
 def test_unit_impedance_truncation_matches_exact_arithmetic():
