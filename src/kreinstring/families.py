@@ -42,8 +42,8 @@ def bessel_drift_coefficients(alpha: float, beta: float, c_const: float, n: int)
     sequence is the periodic 2, 4, 2, 4, ...  The two ratios are accumulated
     as running products (each factor is O(1), so nothing overflows even
     though the factorials themselves would); the only special-function call
-    is the single Gamma(1-alpha).  Raises OverflowError when gamma underflows
-    to 0.
+    is the single Gamma(1-alpha).  Raises OverflowError naming the parameters
+    when gamma or a coefficient falls outside double range.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -53,9 +53,10 @@ def bessel_drift_coefficients(alpha: float, beta: float, c_const: float, n: int)
         raise ValueError("the constant must be finite and positive")
     if n < 0:
         raise ValueError("need n >= 0")
+    params = f"alpha = {alpha:g}, beta = {beta:g}, c_const = {c_const:g}"
     gamma = c_const * math.gamma(1.0 - alpha) * beta**alpha
-    if gamma == 0.0:
-        raise OverflowError("gamma = c_const * Gamma(1-alpha) * beta**alpha underflows to 0")
+    if not 0.0 < gamma < math.inf:
+        raise OverflowError(f"gamma = c_const * Gamma(1-alpha) * beta**alpha is outside double range at {params}")
     coeffs = []
     ratio_even = 1.0  # (1-alpha)_j / (1+alpha)_j
     ratio_odd = 1.0 / (1.0 - alpha)  # (1+alpha)_j / (1-alpha)_{j+1}
@@ -67,7 +68,7 @@ def bessel_drift_coefficients(alpha: float, beta: float, c_const: float, n: int)
         ratio_even *= (1.0 - alpha + j) / (1.0 + alpha + j)
         ratio_odd *= (1.0 + alpha + j) / (2.0 - alpha + j)
         j += 1
-    return ContinuedFraction(Form.KREIN, tuple(coeffs))
+    return _fraction_in_double_range(coeffs, params)
 
 
 def log_limit_coefficients(beta: float, n: int) -> ContinuedFraction:
@@ -75,7 +76,8 @@ def log_limit_coefficients(beta: float, n: int) -> ContinuedFraction:
 
     s_{2j} = 2*beta*(2j+1) and s_{2j+1} = 1/(j+1).  The corresponding
     characteristic function is 2 / log(1 - z/beta); the coefficients agree
-    with an exact-rational expansion of that closed form.
+    with an exact-rational expansion of that closed form.  Raises
+    OverflowError naming beta when a coefficient exceeds double range.
     """
     if not 0.0 < beta < math.inf:
         raise ValueError("beta must be finite and positive")
@@ -88,6 +90,16 @@ def log_limit_coefficients(beta: float, n: int) -> ContinuedFraction:
         if len(coeffs) <= n:
             coeffs.append(1.0 / (j + 1))
         j += 1
+    return _fraction_in_double_range(coeffs, f"beta = {beta:g}")
+
+
+def _fraction_in_double_range(coeffs: list, params: str) -> ContinuedFraction:
+    """The KREIN-form fraction of coeffs, every one of which must be a
+    positive double; a 0 or an inf is a coefficient the parameters push out
+    of double range, and a 0 for s_0 would even mean another string."""
+    if not (0.0 < min(coeffs) and max(coeffs) < math.inf):
+        j = next(j for j, s in enumerate(coeffs) if not 0.0 < s < math.inf)
+        raise OverflowError(f"s_{j} is outside double range at {params}")
     return ContinuedFraction(Form.KREIN, tuple(coeffs))
 
 

@@ -41,6 +41,12 @@ becomes y0).  Cutting every level to its first C entries therefore leaves
 the first C - 2 final records bit for bit as they are.  The levels live in
 buffers of the largest level's size, allocated once per pass.
 
+Up to a few hundred entries, a level costs its eight ufunc calls, not its
+entries.  A level cut to C entries differs from the one two before only in
+its numbers: its views into the buffers depend on the parity of the level
+alone, which also sets the roles of the two mass buffers.  So two view sets,
+built the first time a level reaches the cut, serve every cut level.
+
 The string ends at the plateau 1/s_0: at its first record whose value is
 1/s_0, else at its last record.  With s_0 = 0 the plateau 1/s_0 = inf is the
 terminal, and the levels run uncut.  With s_0 > 0 the end comes early,
@@ -156,19 +162,32 @@ def _levels(s, cap):
     n = len(s) - 1
     # a level holds at most min(cap, n // 2) + 1 entries; a[0] stays 0
     size = min(cap, n // 2) + 1
-    a, lf, lg, lm, spare = np.zeros(size), np.empty(size), np.empty(size), np.empty(size), np.empty(size)
-    # level 0: the constant string of the last coefficient, y0 alone.  After
-    # an even level lm holds y0 in slot 0 and the k masses after it; after an
-    # odd level the masses start at slot 0.
-    lm[0] = -math.log(s[n])
-    k = 0  # gaps in lg
+    a, lf, lg = np.zeros(size), np.empty(size), np.empty(size)
+    # level m reads the masses of level m - 1 from masses[m % 2] and writes
+    # its own into the other buffer.  Level 0 is the constant string of the
+    # last coefficient, y0 alone.  After an even level the masses hold y0 in
+    # slot 0 and the k masses after it; after an odd level they start at slot 0.
+    masses = (np.empty(size), np.empty(size))
+    masses[1][0] = -math.log(s[n])
+    # level m has k = min(m // 2, cap) gaps, so once k reaches the cap a level
+    # differs from the one two before only in its numbers: its views are kept
+    capped = [None, None]
     with np.errstate(over="ignore"):  # linear sums past double range are inf
         for m in range(1, n + 1):
+            odd = m % 2
+            views = capped[odd]
+            if views is None:
+                k = min(m // 2, cap)  # keeps its value from here on once capped
+                lm, spare = masses[odd], masses[1 - odd]
+                views = (lg[:k], a[: k + 1], a[1 : k + 1], lf[: k + 1], lf[:k], lf[1 : k + 1],
+                         spare[:k], lg[odd : odd + k], lm[odd : odd + k], lm, spare)
+                if k == cap:
+                    capped[odd] = views
+            lg_k, a_k, a1, lf_k, lf0, lf1, new_k, ldx, lm_k, lm, spare = views
             c = s[n - m]
             lc = math.log(c) if c > 0.0 else -math.inf
-            lg_k, a_k, lf_k, lf1 = lg[:k], a[: k + 1], lf[: k + 1], lf[1 : k + 1]
             # log f at the origin and at every previous-level position
-            np.add(lg_k, lc, out=a[1 : k + 1])
+            np.add(lg_k, lc, out=a1)
             if m == n:
                 # -expm1(-log f)/c needs log f accurate relative to itself
                 np.logaddexp.accumulate(a_k, out=lf_k)
@@ -178,23 +197,20 @@ def _levels(s, cap):
                 # that overflows, then logaddexp on from the last finite one
                 np.exp(a_k, out=lf_k)
                 np.add.accumulate(lf_k, out=lf_k)
-                j = k + 1 if lf[k] < math.inf else int(lf_k.searchsorted(math.inf))
-                np.log(lf[:j], out=lf[:j])
-                if j <= k:
+                if lf[k] < math.inf:
+                    np.log(lf_k, out=lf_k)
+                else:
+                    j = int(lf_k.searchsorted(math.inf))
+                    np.log(lf[:j], out=lf[:j])
                     a[j - 1] = lf[j - 1]
                     np.logaddexp.accumulate(a[j - 1 : k + 1], out=lf[j - 1 : k + 1])
                 # new masses: gap/(f_left f_right) per old gap, then the tail 1/(c f)
-                np.subtract(lg_k, lf[:k], out=spare[:k])
-                np.subtract(spare[:k], lf1, out=spare[:k])
+                np.subtract(lg_k, lf0, out=new_k)
+                np.subtract(new_k, lf1, out=new_k)
                 spare[k] = -lc - lf[k]
             # time-changed gaps f^2 * mass; an odd level prepends y0
-            odd = m % 2
-            ldx = lg[odd : odd + k]
             np.add(lf1, lf1, out=ldx)
-            np.add(ldx, lm[odd : odd + k], out=ldx)
+            np.add(ldx, lm_k, out=ldx)
             if odd:
                 lg[0] = lm[0]
-            if m == n:
-                return np.logaddexp.accumulate(lg[: odd + k]), lf1, lx
-            k = min(k + odd, cap)
-            lm, spare = spare, lm
+        return np.logaddexp.accumulate(lg[: odd + k]), lf1, lx

@@ -348,6 +348,15 @@ FAULTS = {
                        "--reference bm-drift", b"", 1, "beta must be finite and positive"),
     "study-inf-constant": ("study --family bessel-drift --alpha 0.5 --beta 2 --c-const inf --n-list 5,11,21 "
                            "--reference bm-drift", b"", 1, "the constant must be finite and positive"),
+    "coeffs-inf-gamma": ("coeffs bessel-drift -n 0 --alpha 0.5 --beta 2 --c-const 1e308", b"", 1,
+                         "gamma = c_const * Gamma(1-alpha) * beta**alpha is outside double range at alpha = 0.5"),
+    "coeffs-huge-coefficient": ("coeffs bessel-drift -n 2 --alpha 0.5 --beta 2 --c-const 3e307", b"", 1,
+                                "s_1 is outside double range at alpha = 0.5, beta = 2, c_const = 3e+307"),
+    "coeffs-huge-beta": ("coeffs log-limit -n 3 --beta 1e308", b"", 1, "s_0 is outside double range at beta = 1e+308"),
+    "study-inf-gamma": ("study --family bessel-drift --alpha 0.5 --beta 2 --c-const 1e308 --n-list 5,11,21 "
+                        "--reference bm-drift", b"", 1, "gamma = c_const * Gamma(1-alpha) * beta**alpha is outside"),
+    "study-huge-beta": ("study --family log-limit --beta 1e308 --n-list 5,11,21 --reference bm-drift", b"", 1,
+                        "s_0 is outside double range at beta = 1e+308"),
     "study-zero-error": ("study --family tanh --n-list 1,2,3 --reference uniform --window 0.1", b"", 1, "cannot fit"),
     "compare-nan-window": ("compare --approx @in --reference uniform --window nan", b"x,y\n0,0.5\n4,1\n", 1,
                            "window must be positive"),

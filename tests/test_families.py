@@ -99,6 +99,20 @@ class TestBesselDrift:
         with pytest.raises(ValueError, match=message):
             bessel_drift_coefficients(alpha, beta, c_const, 5)
 
+    @pytest.mark.parametrize(
+        "beta, c_const, n, message",
+        [
+            (2.0, 1e308, 0, "gamma = .* is outside double range at alpha = 0.5, beta = 2, c_const = 1e\\+308"),
+            (2.0, 1e-320, 0, "s_0 is outside double range"),
+            (2.0, 3e307, 2, "s_1 is outside double range at alpha = 0.5, beta = 2, c_const = 3e\\+307"),
+            (1e-300, 1e300, 3, "s_0 is outside double range"),
+        ],
+    )
+    def test_parameters_out_of_double_range_are_named(self, beta, c_const, n, message):
+        """gamma = inf once gave s_0 = 0, the coefficient of another string."""
+        with pytest.raises(OverflowError, match=message):
+            bessel_drift_coefficients(0.5, beta, c_const, n)
+
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError, match="n >= 0"):
             bessel_drift_coefficients(0.5, 2.0, 1.0, -1)
@@ -132,6 +146,12 @@ class TestLogLimit:
                 log_limit_coefficients(beta, 5)
         with pytest.raises(ValueError, match="n >= 0"):
             log_limit_coefficients(2.0, -1)
+
+    def test_coefficients_past_double_range_name_beta(self):
+        with pytest.raises(OverflowError, match="s_0 is outside double range at beta = 1e\\+308"):
+            log_limit_coefficients(1e308, 3)
+        with pytest.raises(OverflowError, match="s_2 is outside double range at beta = 3e\\+307"):
+            log_limit_coefficients(3e307, 5)
 
 
 class TestReferenceMass:

@@ -120,14 +120,32 @@ def _outcome(coeffs, cap):
 )
 @example([300.0, -300.0] * 30, 4, False)  # short of the plateau at 1e305
 @example([300.0] + [-300.0, -300.0, 3.0] * 9, 4, False)  # sums overflow past entry 4
+@example([0.0] + [-60.0, -60.0, -20.0] * 21 + [-60.0, -60.0], 4, False)  # n = 65, cut pass accepted
+@example([0.0] + [-60.0, -60.0, -20.0] * 22, 4, False)  # n = 66, cut pass accepted
 def test_capped_levels_give_the_uncapped_string(exponents, cap, zero_lead):
     """Every list has n > 4 * cap, so the first pass runs capped.  Where the
     linear sums of a level overflow only after its first cap entries, the
-    uncapped level switches to logaddexp there and the capped one never."""
+    uncapped level switches to logaddexp there and the capped one never.
+    The last two examples end within the cut, so capped levels of both
+    parities decide the string, at odd n and at even n."""
     coeffs = [10.0**e for e in exponents]
     if zero_lead:
         coeffs[0] = 0.0
     assert _outcome(coeffs, cap) == _outcome(coeffs, len(coeffs))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(-100.0, 100.0), min_size=18, max_size=80), st.integers(4, 8))
+def test_cut_levels_are_a_prefix_of_the_uncut_levels(exponents, cap):
+    """The last level cut to cap holds min(cap, n // 2) gaps, and its first
+    cap - 2 entries are bit for bit those of the uncut last level."""
+    s = [10.0**e for e in exponents]
+    n = len(s) - 1
+    k = min(cap, n // 2)
+    cut, uncut = inversion._levels(s, cap), inversion._levels(s, n)
+    for got, want, size in zip(cut, uncut, (k + n % 2, k, k)):
+        assert len(got) == size
+        assert np.array_equal(got[: cap - 2], want[: cap - 2])
 
 
 @pytest.mark.parametrize("n, kept", [(4095, 195), (8191, 274)])
@@ -190,6 +208,9 @@ def test_round_trip_reproduces_the_fraction(coeffs, zero_lead):
 
 @settings(max_examples=300)
 @given(st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=40), st.booleans())
+# the values of records 0 and 1 differ by less than the error of their logs,
+# and the records merge: the mass they carry is below that error
+@example([-34.091, -80.186, 97.225, 14.35, -77.851, 22.013, -48.011, 46.097, 8.318, -23.356, 81.753], False)
 def test_log_uniform_scales_round_trip_or_name_double_range(exponents, zero_lead):
     coeffs = [10.0**e for e in exponents]
     if zero_lead and len(coeffs) > 1:
