@@ -9,6 +9,7 @@ writers are deterministic, so identical inputs give identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Callable, List, Optional
@@ -149,6 +150,7 @@ def _cmd_study(args) -> int:
     return 0
 
 
+@functools.cache  # built on the first main() call, then shared: parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="kreinstring", description="Krein string reconstruction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -18,6 +18,7 @@ for the command line.
 from __future__ import annotations
 
 import math
+import sys
 
 from .continued import ContinuedFraction, Form
 
@@ -43,7 +44,8 @@ def bessel_drift_coefficients(alpha: float, beta: float, c_const: float, n: int)
     as running products (each factor is O(1), so nothing overflows even
     though the factorials themselves would); the only special-function call
     is the single Gamma(1-alpha).  Raises OverflowError naming the parameters
-    when gamma or a coefficient falls outside double range.
+    when gamma or a coefficient falls outside double range, or below its
+    normal numbers.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -68,7 +70,7 @@ def bessel_drift_coefficients(alpha: float, beta: float, c_const: float, n: int)
         ratio_even *= (1.0 - alpha + j) / (1.0 + alpha + j)
         ratio_odd *= (1.0 + alpha + j) / (2.0 - alpha + j)
         j += 1
-    return _fraction_in_double_range(coeffs, params)
+    return _fraction_in_double_range(coeffs, params, gamma)
 
 
 def log_limit_coefficients(beta: float, n: int) -> ContinuedFraction:
@@ -77,7 +79,8 @@ def log_limit_coefficients(beta: float, n: int) -> ContinuedFraction:
     s_{2j} = 2*beta*(2j+1) and s_{2j+1} = 1/(j+1).  The corresponding
     characteristic function is 2 / log(1 - z/beta); the coefficients agree
     with an exact-rational expansion of that closed form.  Raises
-    OverflowError naming beta when a coefficient exceeds double range.
+    OverflowError naming beta when a coefficient leaves double range or
+    falls below its normal numbers.
     """
     if not 0.0 < beta < math.inf:
         raise ValueError("beta must be finite and positive")
@@ -93,13 +96,21 @@ def log_limit_coefficients(beta: float, n: int) -> ContinuedFraction:
     return _fraction_in_double_range(coeffs, f"beta = {beta:g}")
 
 
-def _fraction_in_double_range(coeffs: list, params: str) -> ContinuedFraction:
+def _fraction_in_double_range(coeffs: list, params: str, gamma: float = 1.0) -> ContinuedFraction:
     """The KREIN-form fraction of coeffs, every one of which must be a
-    positive double; a 0 or an inf is a coefficient the parameters push out
-    of double range, and a 0 for s_0 would even mean another string."""
+    positive normal double; a 0 or an inf is a coefficient the parameters
+    push out of double range, and a 0 for s_0 would even mean another string.
+    A subnormal coefficient, or any coefficient of a subnormal gamma, keeps
+    only the few digits left below the normal range."""
     if not (0.0 < min(coeffs) and max(coeffs) < math.inf):
         j = next(j for j, s in enumerate(coeffs) if not 0.0 < s < math.inf)
         raise OverflowError(f"s_{j} is outside double range at {params}")
+    if gamma < sys.float_info.min:
+        formula = "gamma = c_const * Gamma(1-alpha) * beta**alpha"
+        raise OverflowError(f"{formula} = {gamma:.3g} is below the normal double range at {params}")
+    if min(coeffs) < sys.float_info.min:
+        j = next(j for j, s in enumerate(coeffs) if s < sys.float_info.min)
+        raise OverflowError(f"s_{j} = {coeffs[j]:.3g} is below the normal double range at {params}")
     return ContinuedFraction(Form.KREIN, tuple(coeffs))
 
 

@@ -36,7 +36,7 @@ def fmt(v: float) -> str:
 
 
 def render_coefficients(cf: ContinuedFraction) -> str:
-    body = ",".join(fmt(s) for s in cf.coefficients)
+    body = ",".join(["%.17g"] * len(cf.coefficients)) % tuple(s + 0.0 for s in cf.coefficients)  # fmt, in one call
     tail = ',"terminated":true' if cf.terminated else ""
     return '{"form":"%s","s":[%s]%s}\n' % (cf.form.value, body, tail)
 
@@ -103,8 +103,7 @@ def parse_moments(text: str) -> List[Fraction]:
 
 def render_string(s: DiscreteString) -> str:
     lines = ["x,y"]
-    for x, y in s.jumps:
-        lines.append("%s,%s" % (fmt(x), fmt(y)))
+    lines += ["%.17g,%.17g" % (x + 0.0, y + 0.0) for x, y in s.jumps]  # fmt; + 0.0 turns -0.0 into 0
     if s.terminal is not None:
         lines.append("%s,inf" % fmt(s.terminal))
     return "\n".join(lines) + "\n"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kreinstring import cli
 from kreinstring.cli import main
 from kreinstring.evaluate import char_function, eval_fraction
 from kreinstring.serialization import parse_coefficients, parse_string
@@ -294,6 +295,35 @@ class TestDeterminism:
         assert float(out) == pytest.approx(math.tanh(1.0), rel=1e-3)
 
 
+def test_one_parser_serves_every_call_as_a_fresh_one_would(tmp_path):
+    coeffs, string = tmp_path / "c.json", tmp_path / "s.csv"
+    coeffs.write_text(TANH3)
+    string.write_text("x,y\n0,0.5\n4,1\n")
+    compare = ["compare", "--approx", str(string), "--reference", "uniform"]
+    sequence = [
+        ["eval", "--coeffs", str(coeffs), "--levy", "--lambda", "2"],
+        ["eval", "--string", str(string), "--z", "-1"],  # --levy and --lambda must not carry over
+        compare + ["--averaged"],
+        compare,  # nor --averaged
+        ["eval", "--string", str(string), "--coeffs", str(coeffs), "--z", "-1"],
+        ["--help"],
+        ["coeffs", "tanh", "-n", "3"],
+    ]
+    fresh = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        fresh.append(_run_quietly(argv))
+    cli._build_parser.cache_clear()
+    reused = [_run_quietly(argv) for argv in sequence]
+    assert reused == fresh
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 1, ("exit", 0), 0]
+    w = char_function(parse_string(string.read_text()), -1.0)  # W(-1), not the Levy exponent 1/W
+    assert float(reused[1][1]) == w
+    assert '"metric":"averaged"' in reused[2][1] and '"metric":"sup"' in reused[3][1]
+    assert reused[6][1] == TANH3
+
+
 def test_missing_subcommand_is_a_usage_error(capsys):
     code, _, err = run(capsys)
     assert code == 1
@@ -352,6 +382,8 @@ FAULTS = {
                          "gamma = c_const * Gamma(1-alpha) * beta**alpha is outside double range at alpha = 0.5"),
     "coeffs-huge-coefficient": ("coeffs bessel-drift -n 2 --alpha 0.5 --beta 2 --c-const 3e307", b"", 1,
                                 "s_1 is outside double range at alpha = 0.5, beta = 2, c_const = 3e+307"),
+    "coeffs-subnormal-gamma": ("coeffs bessel-drift -n 3 --alpha 0.5 --beta 1e-300 --c-const 1e-170", b"", 1,
+                               "gamma = c_const * Gamma(1-alpha) * beta**alpha = 1.77e-320 is below the normal double range"),
     "coeffs-huge-beta": ("coeffs log-limit -n 3 --beta 1e308", b"", 1, "s_0 is outside double range at beta = 1e+308"),
     "study-inf-gamma": ("study --family bessel-drift --alpha 0.5 --beta 2 --c-const 1e308 --n-list 5,11,21 "
                         "--reference bm-drift", b"", 1, "gamma = c_const * Gamma(1-alpha) * beta**alpha is outside"),
@@ -383,9 +415,13 @@ FAULTS = {
 
 
 def _run_quietly(argv):
+    """(exit code, stdout, stderr) of one in-process call; ("exit", code) for a SystemExit."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = ("exit", exc.code)
     return code, out.getvalue(), err.getvalue()
 
 

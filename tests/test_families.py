@@ -106,12 +106,20 @@ class TestBesselDrift:
             (2.0, 1e-320, 0, "s_0 is outside double range"),
             (2.0, 3e307, 2, "s_1 is outside double range at alpha = 0.5, beta = 2, c_const = 3e\\+307"),
             (1e-300, 1e300, 3, "s_0 is outside double range"),
+            (1e-300, 1e-170, 3,
+             "gamma = .* = 1.77e-320 is below the normal double range at alpha = 0.5, beta = 1e-300, c_const = 1e-170"),
         ],
     )
     def test_parameters_out_of_double_range_are_named(self, beta, c_const, n, message):
         """gamma = inf once gave s_0 = 0, the coefficient of another string."""
         with pytest.raises(OverflowError, match=message):
             bessel_drift_coefficients(0.5, beta, c_const, n)
+
+    def test_subnormal_coefficient_is_named(self):
+        """gamma is normal here, but s_5 = 2*gamma*(1+alpha)_2/(1-alpha)_3 is not."""
+        assert bessel_drift_coefficients(0.01, 1.0, 3e-308, 4).coefficients[3] == pytest.approx(3.094e-308, rel=1e-3)
+        with pytest.raises(OverflowError, match="s_5 = 2.08e-308 is below the normal double range at alpha = 0.01"):
+            bessel_drift_coefficients(0.01, 1.0, 3e-308, 5)
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError, match="n >= 0"):
@@ -152,6 +160,8 @@ class TestLogLimit:
             log_limit_coefficients(1e308, 3)
         with pytest.raises(OverflowError, match="s_2 is outside double range at beta = 3e\\+307"):
             log_limit_coefficients(3e307, 5)
+        with pytest.raises(OverflowError, match="s_0 = 2e-320 is below the normal double range at beta = 9.99989e-321"):
+            log_limit_coefficients(1e-320, 3)
 
 
 class TestReferenceMass:

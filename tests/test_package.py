@@ -45,14 +45,20 @@ WITHOUT_NUMPY = {
 }
 
 
+def fresh_python(code, *argv, cwd=None):
+    """Run code with argv in a fresh interpreter that imports the package from SRC."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done
+
+
 def numpy_loaded_after(argv, tmp_path):
     for name, text in FILES.items():
         (tmp_path / name).write_text(text)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
+    done = fresh_python(PROBE, *argv, cwd=tmp_path)
     return done.stderr.splitlines()[-1] == "numpy loaded: True"
 
 
@@ -70,3 +76,9 @@ def test_command_starts_without_numpy(argv, tmp_path):
 def test_invert_loads_numpy(tmp_path):
     # the guard above can fail: the level loop of ``invert`` does use arrays
     assert numpy_loaded_after(["invert", "--in", "c.json"], tmp_path)
+
+
+def test_import_builds_no_parser():
+    # the command-line parser is built on the first main() call, not at import
+    done = fresh_python("import kreinstring.cli as cli; print(cli._build_parser.cache_info().currsize)")
+    assert done.stdout == "0\n"

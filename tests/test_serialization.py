@@ -1,12 +1,13 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kreinstring.continued import Form, krein_fraction
+from kreinstring.continued import ContinuedFraction, Form, krein_fraction
 from kreinstring.families import tanh_coefficients
 from kreinstring.inversion import invert
 from kreinstring.metrics import convergence_study, sup_error
@@ -23,6 +24,51 @@ from kreinstring.serialization import (
     render_study_csv,
 )
 from kreinstring.strings import DiscreteString
+
+
+# positive doubles, subnormals and both ends of the range among them
+POSITIVE = st.one_of(
+    st.sampled_from([5e-324, 1e-310, sys.float_info.min, 1.0, sys.float_info.max]),
+    st.floats(min_value=5e-324, max_value=sys.float_info.min),
+    st.floats(min_value=5e-324, max_value=sys.float_info.max),
+)
+ORIGIN = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def canonical_strings(draw):
+    xs = [draw(ORIGIN)] + sorted(set(draw(st.lists(POSITIVE, max_size=6))))
+    ys = sorted(draw(st.lists(st.one_of(ORIGIN, POSITIVE), min_size=len(xs), max_size=len(xs), unique=True)))
+    terminal = draw(st.one_of(st.none(), POSITIVE))
+    return DiscreteString(tuple(zip(xs, ys)), terminal if terminal is not None and terminal > xs[-1] else None)
+
+
+@st.composite
+def fractions(draw):
+    s = [draw(st.one_of(ORIGIN, POSITIVE))] + draw(st.lists(POSITIVE, max_size=6))
+    return ContinuedFraction(draw(st.sampled_from(Form)), tuple(s), draw(st.booleans()))
+
+
+class TestWritersFormatLikeFmt:
+    """The writers format a record in one call; the bytes are those of fmt on each number."""
+
+    @given(canonical_strings())
+    def test_string(self, s):
+        rows = ["x,y"] + ["%s,%s" % (fmt(x), fmt(y)) for x, y in s.jumps]
+        if s.terminal is not None:
+            rows.append("%s,inf" % fmt(s.terminal))
+        text = render_string(s)
+        assert text == "\n".join(rows) + "\n"
+        back = parse_string(text)
+        assert back == s and render_string(back) == text
+
+    @given(fractions())
+    def test_coefficients(self, cf):
+        tail = ',"terminated":true' if cf.terminated else ""
+        text = render_coefficients(cf)
+        assert text == '{"form":"%s","s":[%s]%s}\n' % (cf.form.value, ",".join(map(fmt, cf.coefficients)), tail)
+        back = parse_coefficients(text)
+        assert back == cf and render_coefficients(back) == text
 
 
 class TestFmt:
