@@ -11,11 +11,11 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from typing import Callable, List, Optional
 
-from .continued import Form
-from .evaluate import char_function, eval_fraction
+from .evaluate import char_function, eval_fraction, levy_exponent
 from .families import FAMILIES, PAPER_PARAMETERS, REFERENCES, reference_mass
 from .inversion import invert
 from .metrics import averaged_error, convergence_study, sup_error
@@ -40,6 +40,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        # argparse reads "-1e-05", the repr of a small negative number, as a flag
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message: str) -> None:  # exit code 1, not argparse's 2
         raise _UsageError(message)
 
@@ -61,7 +66,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _flag(param: str) -> str:
-    return "-n" if param == "n" else "--" + param.replace("_", "-")
+    return "--" + param.replace("_", "-")
 
 
 def _reference(name: str) -> Callable[[float], float]:
@@ -69,18 +74,11 @@ def _reference(name: str) -> Callable[[float], float]:
 
 
 def _cmd_coeffs(args) -> int:
-    if args.family in FAMILIES:
-        build, params = FAMILIES[args.family]
-        values = []
-        for param in params + ("n",):
-            if getattr(args, param) is None:
-                raise ValueError("family %r requires %s" % (args.family, _flag(param)))
-            values.append(getattr(args, param))
-        cf = build(*values)
-    elif args.infile is None:
-        raise ValueError("family 'from-moments' requires --in <moments.json>")
-    else:
+    if args.family == "from-moments":
         cf = coefficients_from_moments(parse_moments(_read(args.infile)))
+    else:
+        build, params = FAMILIES[args.family]
+        cf = build(*[getattr(args, param) for param in params], args.n)
     _emit(render_coefficients(cf), args.out)
     return 0
 
@@ -92,25 +90,18 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.levy:
-        if args.lam is None:
-            raise ValueError("--levy requires --lambda")
-        if not args.lam > 0.0:
-            raise ValueError("--lambda must be positive")
-        z = -args.lam
-    elif args.z is None:
-        raise ValueError("--z is required (or use --levy with --lambda)")
-    else:
-        z = args.z
+    if args.levy != (args.lam is not None):
+        raise _UsageError("--levy and --lambda go together")
+    if args.levy and not args.lam > 0.0:
+        raise ValueError("--lambda must be positive")
     if args.coeffs is not None:
         cf = parse_coefficients(_read(args.coeffs))
-        if args.levy and cf.form is not Form.KREIN:
-            raise ValueError("the exponent is defined for KREIN-form coefficients")
-        value = eval_fraction(cf, z)
+        value = levy_exponent(cf, args.lam) if args.levy else eval_fraction(cf, args.z)
+    elif args.levy:  # the Levy exponent 1/W(-lambda); W = 0 gives inf, as in levy_exponent
+        w = char_function(parse_string(_read(args.string)), -args.lam)
+        value = math.inf if w == 0.0 else 1.0 / w
     else:
-        value = char_function(parse_string(_read(args.string)), z)
-    if args.levy:  # the Levy exponent 1/W(-lambda); W = 0 gives inf, as in eval_fraction
-        value = math.inf if value == 0.0 else 1.0 / value
+        value = char_function(parse_string(_read(args.string)), args.z)
     print(fmt(value))
     return 0
 
@@ -156,13 +147,17 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeffs", help="generate continued-fraction coefficients")
-    p.add_argument("family", choices=[*FAMILIES, "from-moments"])
-    p.add_argument("-n", type=int, help="truncation order")
-    for param in PAPER_PARAMETERS:
-        p.add_argument(_flag(param), type=float)
-    p.add_argument("--in", dest="infile", help="moments JSON (from-moments only)")
-    p.add_argument("--out", help="output file (stdout if omitted)")
     p.set_defaults(func=_cmd_coeffs)
+    families = p.add_subparsers(dest="family", required=True)
+    for family, (_, params) in FAMILIES.items():
+        f = families.add_parser(family)
+        f.add_argument("-n", type=int, required=True, help="truncation order")
+        for param in params:
+            f.add_argument(_flag(param), type=float, required=True)
+        f.add_argument("--out", help="output file (stdout if omitted)")
+    f = families.add_parser("from-moments")
+    f.add_argument("--in", dest="infile", required=True, help="moments JSON")
+    f.add_argument("--out", help="output file (stdout if omitted)")
 
     p = sub.add_parser("invert", help="reconstruct a string from Krein-form coefficients")
     p.add_argument("--in", dest="infile", required=True)
@@ -173,9 +168,10 @@ def _build_parser() -> _Parser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--coeffs", help="coefficient JSON file")
     src.add_argument("--string", help="string CSV file")
-    p.add_argument("--z", type=float, help="evaluation point (negative real)")
-    p.add_argument("--levy", action="store_true", help="evaluate the Levy exponent instead")
-    p.add_argument("--lambda", dest="lam", type=float, help="Levy exponent argument (positive)")
+    at = p.add_mutually_exclusive_group(required=True)
+    at.add_argument("--z", type=float, help="evaluation point (negative real)")
+    at.add_argument("--lambda", dest="lam", type=float, help="Levy exponent argument (positive), with --levy")
+    p.add_argument("--levy", action="store_true", help="evaluate the Levy exponent 1/W(-lambda)")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("dual", help="dual string (inverse mass distribution)")

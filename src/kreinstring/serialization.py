@@ -110,15 +110,16 @@ def render_string(s: DiscreteString) -> str:
 
 
 def parse_string(text: str) -> DiscreteString:
+    reader = csv.reader(io.StringIO(text))
     try:
-        rows = [r for r in csv.reader(io.StringIO(text)) if r]
+        rows = [(reader.line_num, r) for r in reader if r]  # numbered as in the file, blank lines too
     except csv.Error as exc:
         raise SchemaError("string file is not valid CSV: %s" % exc)
-    if not rows or [c.strip() for c in rows[0]] != ["x", "y"]:
+    if not rows or [c.strip() for c in rows[0][1]] != ["x", "y"]:
         raise SchemaError('string file must start with header "x,y"')
     pairs = []
     terminal: Optional[float] = None
-    for i, row in enumerate(rows[1:], start=2):
+    for i, row in rows[1:]:
         if len(row) != 2:
             raise SchemaError("line %d: expected two columns" % i)
         try:

@@ -3,6 +3,9 @@ import io
 import json
 import math
 import os
+import pathlib
+import re
+import shlex
 import tempfile
 
 import pytest
@@ -11,8 +14,9 @@ from hypothesis import strategies as st
 
 from kreinstring import cli
 from kreinstring.cli import main
-from kreinstring.evaluate import char_function, eval_fraction
-from kreinstring.serialization import parse_coefficients, parse_string
+from kreinstring.evaluate import char_function, eval_fraction, levy_exponent
+from kreinstring.families import FAMILIES, PAPER_PARAMETERS, tanh_coefficients
+from kreinstring.serialization import fmt, parse_coefficients, parse_string, render_coefficients
 
 TANH3 = '{"form":"krein","s":[0,1,3,5]}\n'
 
@@ -41,7 +45,7 @@ class TestCoeffs:
     def test_bessel_drift_needs_all_parameters(self, capsys):
         code, _, err = run(capsys, "coeffs", "bessel-drift", "-n", "4", "--alpha", "0.5")
         assert code == 1
-        assert "requires --beta" in err
+        assert "the following arguments are required: --beta, --c-const" in err
 
     def test_bessel_drift_headline(self, capsys):
         code, out, _ = run(
@@ -66,7 +70,7 @@ class TestCoeffs:
     def test_from_moments_needs_input(self, capsys):
         code, _, err = run(capsys, "coeffs", "from-moments")
         assert code == 1
-        assert "requires --in" in err
+        assert "the following arguments are required: --in" in err
 
     def test_unknown_family_is_usage_error(self, capsys):
         code, _, err = run(capsys, "coeffs", "parabolic", "-n", "3")
@@ -144,7 +148,7 @@ class TestEval:
         path.write_text('{"form":"krein","s":[4]}')
         code, _, err = run(capsys, "eval", "--coeffs", str(path))
         assert code == 1
-        assert "--z is required" in err
+        assert "one of the arguments --z --lambda is required" in err
 
     def test_nonnegative_z_is_rejected(self, capsys, tmp_path):
         path = tmp_path / "c.json"
@@ -324,6 +328,101 @@ def test_one_parser_serves_every_call_as_a_fresh_one_would(tmp_path):
     assert reused[6][1] == TANH3
 
 
+# -- each command takes exactly its own flags ----------------------------------
+
+
+def _family_argv(family):
+    _, params = FAMILIES[family]
+    argv = ["coeffs", family, "-n", "3"]
+    for param in params:
+        argv += [cli._flag(param), repr(PAPER_PARAMETERS[param])]
+    return argv
+
+
+def _usage_error(result):
+    code, out, err = result
+    return code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_takes_its_order_parameters_and_out(family, tmp_path):
+    build, params = FAMILIES[family]
+    path = tmp_path / "c.json"
+    assert _run_quietly(_family_argv(family) + ["--out", str(path)]) == (0, "", "")
+    assert path.read_text() == render_coefficients(build(*[PAPER_PARAMETERS[p] for p in params], 3))
+
+
+@pytest.mark.parametrize(
+    "family, flag",
+    [(family, flag) for family, (_, params) in FAMILIES.items()
+     for flag in [cli._flag(p) for p in PAPER_PARAMETERS if p not in params] + ["--in"]],
+)
+def test_family_rejects_a_flag_it_does_not_take(family, flag, tmp_path):
+    moments = tmp_path / "m.json"
+    moments.write_text('{"c":[2,3,5,9]}')
+    value = str(moments) if flag == "--in" else "0.5"
+    assert _usage_error(_run_quietly(_family_argv(family) + [flag, value]))
+
+
+@pytest.mark.parametrize("flag", ["-n", "--alpha", "--beta", "--c-const"])
+def test_from_moments_rejects_family_flags(flag, tmp_path):
+    moments = tmp_path / "m.json"
+    moments.write_text('{"c":[2,3,5,9]}')
+    argv = ["coeffs", "from-moments", "--in", str(moments)]
+    assert _run_quietly(argv)[0] == 0
+    assert _usage_error(_run_quietly(argv + [flag, "2"]))
+
+
+@pytest.mark.parametrize(
+    "point",
+    [["--z", "-1", "--levy", "--lambda", "2"], ["--z", "-2.5", "--lambda", "2"], ["--lambda", "2"], ["--levy"],
+     ["--z", "-1", "--levy"]],
+    ids=["z-levy-lambda", "z-lambda", "lambda-alone", "levy-alone", "z-levy"],
+)
+def test_eval_takes_its_point_once(point, tmp_path):
+    coeffs = tmp_path / "c.json"
+    coeffs.write_text(TANH3)
+    assert _usage_error(_run_quietly(["eval", "--coeffs", str(coeffs)] + point))
+
+
+@pytest.mark.parametrize("lam", ["0.5", "2", "1e-05", "1e+300"])
+def test_levy_on_coefficients_is_levy_exponent(lam, tmp_path):
+    coeffs = tmp_path / "c.json"
+    coeffs.write_text(TANH3)
+    expected = fmt(levy_exponent(parse_coefficients(TANH3), float(lam))) + "\n"
+    assert _run_quietly(["eval", "--coeffs", str(coeffs), "--levy", "--lambda", lam]) == (0, expected, "")
+
+
+def test_negative_numbers_in_exponent_form_need_no_equals_sign(tmp_path):
+    coeffs = tmp_path / "c.json"
+    coeffs.write_text(TANH3)
+    for z in ("-1e-05", "-1.2345678901234568e+17", "-2E3", "-.5e1"):
+        spaced = _run_quietly(["eval", "--coeffs", str(coeffs), "--z", z])
+        assert spaced == _run_quietly(["eval", "--coeffs", str(coeffs), "--z=" + z])
+        assert spaced == (0, fmt(eval_fraction(parse_coefficients(TANH3), float(z))) + "\n", "")
+    with pytest.raises(ValueError) as exc:
+        tanh_coefficients(-3)
+    assert _run_quietly(["coeffs", "tanh", "-n", "-3"]) == (1, "", "error: %s\n" % exc.value)
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    lines = "".join(re.findall(r"```sh\n(.*?)```", text, re.S)).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("kreinstring ")]
+    assert len(commands) >= 5
+    monkeypatch.chdir(tmp_path)  # the commands read and write files in the working directory
+    slopes = []
+    for argv in commands:
+        code, out, err = _run_quietly(argv)
+        assert (code, err) == (0, ""), argv
+        if argv[0] == "study":
+            slopes.append("%.2f" % json.loads(out)["slope"])
+    assert slopes == re.findall(r"slope near `(-[\d.]+)`", text)
+
+
 def test_missing_subcommand_is_a_usage_error(capsys):
     code, _, err = run(capsys)
     assert code == 1
@@ -367,9 +466,9 @@ FAULTS = {
     "mass-overflow": ("compare --approx @in --reference bm-drift --averaged --window inf",
                       b"x,y\n0,1e308\n1e308,1.7e308\n", 0, '"value":1.35e+308,'),
     "nan-point": ("eval --coeffs @in --z nan", TANH3.encode(), 1, "z < 0 only"),
-    "krein-underflow": ("eval --coeffs @in --z=-1e308", b'{"form":"krein","s":[1e-300,1,1e-300]}', 0, "0\n"),
-    "stieltjes-underflow": ("eval --coeffs @in --z=-1e-300", b'{"form":"stieltjes","s":[1e-300,1,1e-300]}', 0, "inf"),
-    "string-underflow": ("eval --string @in --z=-1e-300", b"x,y\n0,1e-300\n", 0, "inf"),
+    "krein-underflow": ("eval --coeffs @in --z -1e308", b'{"form":"krein","s":[1e-300,1,1e-300]}', 0, "0\n"),
+    "stieltjes-underflow": ("eval --coeffs @in --z -1e-300", b'{"form":"stieltjes","s":[1e-300,1,1e-300]}', 0, "inf"),
+    "string-underflow": ("eval --string @in --z -1e-300", b"x,y\n0,1e-300\n", 0, "inf"),
     "study-order-zero": ("study --family bessel-drift --n-list 0,1,2 --reference bm-drift", b"", 1, "positive"),
     "coeffs-nan-beta": ("coeffs log-limit -n 3 --beta nan", b"", 1, "beta must be finite and positive"),
     "coeffs-inf-constant": ("coeffs bessel-drift -n 5 --alpha 0.5 --beta 2 --c-const inf", b"", 1,
@@ -450,7 +549,7 @@ def _option(flag, values=None):
     """Nothing, the bare flag, or the flag with a drawn value."""
     if values is None:
         given = st.just([flag])
-    elif flag.startswith("--"):  # "--z=-1e308": argparse would take "-1e308" for a flag
+    elif flag.startswith("--"):  # "--z=-inf": argparse would take "-inf" for a flag
         given = values.map(lambda v: [flag + "=" + v])
     else:
         given = values.map(lambda v: [flag, v])

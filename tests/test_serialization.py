@@ -182,6 +182,13 @@ class TestStrings:
             ("x,y\n0,1,2\n", "expected two columns"),
             ("x,y\n0,abc\n", "non-numeric entry"),
             ("x,y\n0,1\n2,inf\n3,4\n", "rows after the terminal marker"),
+            # errors name the file line, blank lines counted
+            ("x,y\n0,1,2\n", "line 2: expected two columns"),
+            ("x,y\n0,abc\n", "line 2: non-numeric entry"),
+            ("x,y\n0,1\n2,inf\n3,4\n", "line 4: rows after the terminal marker"),
+            ("x,y\n\n0,0\n\n1,2,3\n", "line 5: expected two columns"),
+            ("x,y\n\n0,0\n\n1,a\n", "line 5: non-numeric entry"),
+            ("x,y\n\n1,inf\n\n2,3\n", "line 5: rows after the terminal marker"),
         ],
     )
     def test_malformed_inputs(self, text, message):
