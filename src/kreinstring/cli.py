@@ -42,8 +42,9 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
-        # argparse reads "-1e-05", the repr of a small negative number, as a flag
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # argparse reads "-1e-05", the repr of a small negative number, and "-inf" as flags;
+        # this pattern reads them as values, and "-infinity" in any case too, as float() does
+        self._negative_number_matcher = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?)$", re.I)
 
     def error(self, message: str) -> None:  # exit code 1, not argparse's 2
         raise _UsageError(message)
@@ -126,7 +127,10 @@ def _cmd_compare(args) -> int:
 
 def _cmd_study(args) -> int:
     build, params = FAMILIES[args.family]
-    fixed = [getattr(args, param) for param in params]
+    foreign = [_flag(p) for p in PAPER_PARAMETERS if p not in params and getattr(args, p) is not None]
+    if foreign:
+        raise _UsageError("--family %s takes no %s" % (args.family, ", ".join(foreign)))
+    fixed = [PAPER_PARAMETERS[p] if getattr(args, p) is None else getattr(args, p) for p in params]
     try:
         ns = [int(t) for t in args.n_list.split(",")]
     except ValueError:
@@ -198,8 +202,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--averaged", action="store_true")
     p.add_argument("--reference", required=True, choices=REFERENCES)
     p.add_argument("--window", type=float, default=5.0)
-    for param, value in PAPER_PARAMETERS.items():
-        p.add_argument(_flag(param), type=float, default=value)
+    for param in PAPER_PARAMETERS:  # default: the paper's value, for the family's own parameters only
+        p.add_argument(_flag(param), type=float)
     p.add_argument("--out", help="output file; .csv extension selects CSV")
     p.set_defaults(func=_cmd_study)
 

@@ -2,12 +2,19 @@
 
 The coefficient extraction runs the Euclid step of the Stieltjes fraction on
 the asymptotic expansion of the characteristic function at z -> -infinity,
-kept as a ratio of two truncated series (Viskovatov's two-row form): each
-coefficient costs one pass over rows one term shorter than the last, so N
-moments take O(N^2) operations.  It is carried out in exact rational
-arithmetic so that a moment sequence coming from a finite atomic measure
-terminates with a recognisable all-zero remainder instead of drowning in
-roundoff.
+kept as a ratio num/den of two truncated series (Viskovatov's two-row form).
+Each row is a list of Python ints over one positive int denominator, with the
+moments' alternating signs folded into the first num row.  A step emits
+s = (den[0]/d_den) / (num[0]/d_num) and replaces the rows by
+
+    num <- (den[1:]*num[0] - den[0]*num[1:]) / (d_den*num[0]),
+    den <- num[:-1] / d_num,
+
+one term shorter, then divides the new num row and its denominator by their
+gcd.  N moments take O(N^2) integer operations; the only Fractions are the
+emitted coefficients.  The arithmetic is exact so that a moment sequence
+coming from a finite atomic measure terminates with a recognisable all-zero
+remainder instead of drowning in roundoff.
 """
 
 from __future__ import annotations
@@ -34,29 +41,31 @@ def stieltjes_from_moments_exact(moments: MomentSequence) -> Tuple[List[Fraction
     if len(moments) == 0:
         raise ValueError("need at least one moment")
     for c in moments:
-        if not isinstance(c, (Fraction, int)):
+        if isinstance(c, bool) or not isinstance(c, (Fraction, int)):
             raise ValueError("moments must be exact rationals, got %r" % type(c).__name__)
-    c0 = Fraction(moments[0])
-    if c0 <= 0:
+    if moments[0] <= 0:
         raise ValueError("zeroth moment (total mass) must be positive")
-    # Expansion of the characteristic function in powers of 1/z, alternating
-    # signs folded in, held as a ratio num/den of truncated series.  Each step
-    # reads off s = (1/g)(0) = den[0]/num[0] and continues with
-    # (1/g - s)/t = (den - s*num)[1:] / num, one term shorter.  den[0] stays
-    # positive, so the sign of num[0] is the sign of g(0).
-    num = [Fraction(c) if k % 2 == 0 else -Fraction(c) for k, c in enumerate(moments)]
-    den = [Fraction(1)] + [Fraction(0)] * (len(num) - 1)
+    # Rows as in the module docstring: num/d_num and den/d_den.  The new den row
+    # is the old num row, already reduced, so one gcd per step suffices.
+    # den[0] stays positive, so the sign of num[0] is the sign of the leading
+    # term of num/den.
+    d_num = math.lcm(*(c.denominator for c in moments))
+    num = [(c.numerator * (d_num // c.denominator)) * (-1) ** k for k, c in enumerate(moments)]
+    den, d_den = [1] + [0] * (len(num) - 1), 1
     coeffs: List[Fraction] = []
     while num:
-        if all(v == 0 for v in num):
+        if not any(num):
             return coeffs, True
-        if num[0] <= 0:
+        n0, d0 = num[0], den[0]
+        if n0 <= 0:
             raise ValueError(
                 "not a moment sequence: nonpositive divisor at coefficient %d" % len(coeffs)
             )
-        s = den[0] / num[0]
-        coeffs.append(s)
-        num, den = [d - s * v for d, v in zip(den[1:], num[1:])], num[:-1]
+        coeffs.append(Fraction(d0 * d_num, d_den * n0))
+        num, den = [d * n0 - d0 * v for d, v in zip(den[1:], num[1:])], num[:-1]
+        d_num, d_den = d_den * n0, d_num
+        g = math.gcd(d_num, *num)
+        num, d_num = [v // g for v in num], d_num // g
     return coeffs, False
 
 

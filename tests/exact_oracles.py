@@ -69,6 +69,38 @@ def eval_stieltjes_exact(s: Sequence[Fraction], z: Fraction) -> Fraction:
     return 1 / u
 
 
+def stieltjes_from_moments_oracle(moments: Sequence[Fraction]) -> Tuple[List[Fraction], bool]:
+    """Exact Stieltjes-form coefficients from the moments c_k = integral of x^k.
+
+    The Euclid step of the Stieltjes fraction in Viskovatov's two-row form,
+    carried out term by term in Fractions: each coefficient is den[0]/num[0]
+    and the next pair of rows is (den - s*num)[1:], num[:-1].  Same contract
+    and error texts as ``kreinstring.moments.stieltjes_from_moments_exact``.
+    """
+    if len(moments) == 0:
+        raise ValueError("need at least one moment")
+    for c in moments:
+        if not isinstance(c, (Fraction, int)):
+            raise ValueError("moments must be exact rationals, got %r" % type(c).__name__)
+    c0 = Fraction(moments[0])
+    if c0 <= 0:
+        raise ValueError("zeroth moment (total mass) must be positive")
+    num = [Fraction(c) if k % 2 == 0 else -Fraction(c) for k, c in enumerate(moments)]
+    den = [Fraction(1)] + [Fraction(0)] * (len(num) - 1)
+    coeffs: List[Fraction] = []
+    while num:
+        if all(v == 0 for v in num):
+            return coeffs, True
+        if num[0] <= 0:
+            raise ValueError(
+                "not a moment sequence: nonpositive divisor at coefficient %d" % len(coeffs)
+            )
+        s = den[0] / num[0]
+        coeffs.append(s)
+        num, den = [d - s * v for d, v in zip(den[1:], num[1:])], num[:-1]
+    return coeffs, False
+
+
 def binom_fraction(a: Fraction, k: int) -> Fraction:
     """Generalized binomial coefficient a(a-1)...(a-k+1)/k! for rational a."""
     num = Fraction(1)

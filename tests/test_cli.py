@@ -364,6 +364,28 @@ def test_family_rejects_a_flag_it_does_not_take(family, flag, tmp_path):
     assert _usage_error(_run_quietly(_family_argv(family) + [flag, value]))
 
 
+STUDY = ["study", "--n-list", "5,11,21", "--reference", "bm-drift", "--window", "2"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_study_takes_its_family_parameters_with_the_paper_values_as_defaults(family):
+    _, params = FAMILIES[family]
+    plain = _run_quietly(STUDY + ["--family", family])
+    assert plain[0] == 0
+    explicit = [t for p in params for t in (cli._flag(p), repr(PAPER_PARAMETERS[p]))]
+    assert _run_quietly(STUDY + ["--family", family] + explicit) == plain
+
+
+@pytest.mark.parametrize(
+    "family, flag",
+    [(family, cli._flag(p)) for family, (_, params) in FAMILIES.items() for p in PAPER_PARAMETERS if p not in params],
+)
+def test_study_rejects_a_parameter_its_family_does_not_take(family, flag):
+    result = _run_quietly(STUDY + ["--family", family, flag, "0.5"])
+    assert _usage_error(result)
+    assert flag in result[2]
+
+
 @pytest.mark.parametrize("flag", ["-n", "--alpha", "--beta", "--c-const"])
 def test_from_moments_rejects_family_flags(flag, tmp_path):
     moments = tmp_path / "m.json"
@@ -396,7 +418,7 @@ def test_levy_on_coefficients_is_levy_exponent(lam, tmp_path):
 def test_negative_numbers_in_exponent_form_need_no_equals_sign(tmp_path):
     coeffs = tmp_path / "c.json"
     coeffs.write_text(TANH3)
-    for z in ("-1e-05", "-1.2345678901234568e+17", "-2E3", "-.5e1"):
+    for z in ("-1e-05", "-1.2345678901234568e+17", "-2E3", "-.5e1", "-inf", "-Infinity"):
         spaced = _run_quietly(["eval", "--coeffs", str(coeffs), "--z", z])
         assert spaced == _run_quietly(["eval", "--coeffs", str(coeffs), "--z=" + z])
         assert spaced == (0, fmt(eval_fraction(parse_coefficients(TANH3), float(z))) + "\n", "")
@@ -549,7 +571,7 @@ def _option(flag, values=None):
     """Nothing, the bare flag, or the flag with a drawn value."""
     if values is None:
         given = st.just([flag])
-    elif flag.startswith("--"):  # "--z=-inf": argparse would take "-inf" for a flag
+    elif flag.startswith("--"):  # "--z=-nan": argparse would take "-nan" for a flag
         given = values.map(lambda v: [flag + "=" + v])
     else:
         given = values.map(lambda v: [flag, v])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from exact_oracles import eval_stieltjes_exact
+from exact_oracles import eval_stieltjes_exact, stieltjes_from_moments_oracle
 from kreinstring.continued import Form, krein_fraction
 from kreinstring.families import tanh_coefficients
 from kreinstring.moments import (
@@ -45,6 +45,12 @@ class TestExactExtraction:
     def test_rejects_floats(self):
         with pytest.raises(ValueError, match="exact rationals"):
             stieltjes_from_moments_exact([Fraction(1), 0.5])
+
+    def test_rejects_bools(self):
+        with pytest.raises(ValueError, match="exact rationals, got 'bool'"):
+            stieltjes_from_moments_exact([1, True])
+        with pytest.raises(ValueError, match="exact rationals, got 'bool'"):
+            stieltjes_from_moments_exact([True, 1])
 
     def test_rejects_nonpositive_mass(self):
         with pytest.raises(ValueError, match="must be positive"):
@@ -123,6 +129,45 @@ def test_thirty_atoms_from_sixty_two_moments(zero_atom):
     assert len(coeffs) == 60 - zero_atom
     z = Fraction(-1, 2)
     assert eval_stieltjes_exact(coeffs, z) == sum(w / (lam - z) for lam, w in atoms)
+
+
+def _outcome(extract, moments):
+    try:
+        return extract(moments)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+@st.composite
+def measure_moments(draw):
+    """Moments of an atomic measure, perhaps with an atom at 0, cut at a random length."""
+    atoms = draw(atomic_measures())
+    moments = [sum(w * lam**k for lam, w in atoms) for k in range(2 * len(atoms) + 3)]
+    if draw(st.booleans()):
+        moments[0] += draw(st.fractions(min_value=Fraction(1, 4), max_value=Fraction(4)))
+    return moments[: draw(st.integers(min_value=1, max_value=len(moments)))]
+
+
+@st.composite
+def perturbed_moments(draw):
+    """A measure's moments with one entry moved, which often breaks positivity."""
+    moments = draw(measure_moments())
+    k = draw(st.integers(min_value=0, max_value=len(moments) - 1))
+    moments[k] += draw(st.fractions(min_value=-4, max_value=4).filter(bool))
+    return moments
+
+
+@given(
+    st.one_of(
+        measure_moments(),
+        st.lists(st.integers(min_value=-3, max_value=40), min_size=0, max_size=8),
+        perturbed_moments(),
+    )
+)
+def test_integer_rows_match_the_fraction_recurrence(moments):
+    """Same coefficients, the same terminated flag and the same error text as
+    the Fraction recurrence, on valid, integer and invalid sequences."""
+    assert _outcome(stieltjes_from_moments_exact, moments) == _outcome(stieltjes_from_moments_oracle, moments)
 
 
 def test_float_boundary_tags_form_and_termination():
