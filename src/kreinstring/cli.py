@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import re
 import sys
 from typing import Callable, List, Optional
@@ -96,14 +95,10 @@ def _cmd_eval(args) -> int:
     if args.levy and not args.lam > 0.0:
         raise ValueError("--lambda must be positive")
     if args.coeffs is not None:
-        cf = parse_coefficients(_read(args.coeffs))
-        value = levy_exponent(cf, args.lam) if args.levy else eval_fraction(cf, args.z)
-    elif args.levy:  # the Levy exponent 1/W(-lambda); W = 0 gives inf, as in levy_exponent
-        w = char_function(parse_string(_read(args.string)), -args.lam)
-        value = math.inf if w == 0.0 else 1.0 / w
+        source, evaluate = parse_coefficients(_read(args.coeffs)), eval_fraction
     else:
-        value = char_function(parse_string(_read(args.string)), args.z)
-    print(fmt(value))
+        source, evaluate = parse_string(_read(args.string)), char_function
+    print(fmt(levy_exponent(source, args.lam) if args.levy else evaluate(source, args.z)))
     return 0
 
 

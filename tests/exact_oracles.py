@@ -1,12 +1,15 @@
 """Exact-rational reference implementations used as independent test oracles.
 
-Everything here runs on stdlib Fractions, so agreement with the float library
-certifies the float code down to representation error.  The reconstruction
-oracle mirrors the level-by-level recurrences in cumulative form; exactness
-makes the cancellation questions that drive the library's difference-form
-state irrelevant.
+Everything here but ``char_function_sweep`` runs on stdlib Fractions, so
+agreement with the float library certifies the float code down to
+representation error.  The reconstruction oracle mirrors the level-by-level
+recurrences in cumulative form; exactness makes the cancellation questions
+that drive the library's difference-form state irrelevant.
+``char_function_sweep`` is the float reference that the library's
+``char_function`` must match bit for bit.
 """
 
+import math
 from fractions import Fraction
 from math import factorial
 from typing import List, Optional, Sequence, Tuple
@@ -123,3 +126,27 @@ def drift_family_moments(alpha: Fraction, beta: Fraction, gamma: Fraction, count
         m = (-1) ** k * (gamma / alpha) * binom_fraction(alpha, k + 1) / beta ** (k + 1)
         out.append(m)
     return out
+
+
+def char_function_sweep(s, z: float) -> float:
+    """Characteristic function of a discrete string at z < 0.
+
+    Backward sweep: seed with the tail gap L - x_last when a terminal point
+    exists (reciprocal 0 otherwise), then alternate the point-mass update
+    w <- 1/(-m z + 1/w) and the gap shift w <- w + (x_j - x_{j-1}).  A
+    quantity that underflows to 0 has a reciprocal of inf.
+    """
+    if not z < 0.0:  # NaN included
+        raise ValueError("characteristic function is evaluated at z < 0 only")
+    last_x, last_y = s.jumps[-1]
+    if s.terminal is None and last_y == 0.0:
+        raise ValueError("massless string without terminal point has no characteristic function")
+    w = math.inf if s.terminal is None else s.terminal - last_x
+    for j in range(len(s.jumps) - 1, -1, -1):
+        x, y = s.jumps[j]
+        m = y - (s.jumps[j - 1][1] if j > 0 else 0.0)
+        if m > 0.0:
+            d = -m * z + (0.0 if math.isinf(w) else 1.0 / w)
+            w = 1.0 / d if d else math.inf
+        w += x - (s.jumps[j - 1][0] if j > 0 else 0.0)
+    return w

@@ -136,6 +136,25 @@ class TestEval:
         assert code == 0
         assert float(out) == pytest.approx(0.5)
 
+    def test_stieltjes_list_with_zero_lead_prints_its_string(self, capsys, tmp_path):
+        # s = [0, 49] is the massless string of length 49: both read W = 49
+        coeffs, string = tmp_path / "c.json", tmp_path / "s.csv"
+        coeffs.write_text('{"form":"stieltjes","s":[0,49]}')
+        string.write_text("x,y\n0,0\n49,inf\n")
+        from_coeffs = run(capsys, "eval", "--coeffs", str(coeffs), "--z", "-1")
+        assert from_coeffs == run(capsys, "eval", "--string", str(string), "--z", "-1") == (0, "49\n", "")
+
+    def test_levy_of_spectral_moments(self, capsys, tmp_path):
+        # atoms of 1/2 at 1 and at 3: W(-lambda) = 1/2/(1 + lambda) + 1/2/(3 + lambda), 3/8 at lambda = 1
+        moments, coeffs = tmp_path / "m.json", tmp_path / "c.json"
+        moments.write_text('{"c":[1,2,5,14,41,122]}')
+        assert run(capsys, "coeffs", "from-moments", "--in", str(moments), "--out", str(coeffs))[0] == 0
+        assert json.loads(coeffs.read_text())["terminated"] is True
+        code, out, _ = run(capsys, "eval", "--coeffs", str(coeffs), "--levy", "--lambda", "1")
+        assert code == 0
+        assert float(out) == pytest.approx(8.0 / 3.0, rel=1e-15)
+        assert out == fmt(levy_exponent(parse_coefficients(coeffs.read_text()), 1.0)) + "\n"
+
     def test_levy_requires_lambda(self, capsys, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{"form":"krein","s":[4]}')

@@ -2,13 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from exact_oracles import eval_krein_exact, eval_stieltjes_exact
+from exact_oracles import char_function_sweep, eval_krein_exact, eval_stieltjes_exact
 from kreinstring.continued import krein_fraction, stieltjes_fraction
 from kreinstring.evaluate import char_function, eval_fraction, levy_exponent
 from kreinstring.families import tanh_coefficients
+from kreinstring.serialization import parse_string
 from kreinstring.strings import DiscreteString
 
 coeff_lists = st.lists(
@@ -115,10 +116,59 @@ class TestLevyExponent:
         assert levy_exponent(cf, 1.0) == pytest.approx(0.25)
         assert levy_exponent(cf, 3.0) == pytest.approx(0.75)
 
-    def test_requires_krein_form(self):
-        with pytest.raises(ValueError, match="KREIN"):
-            levy_exponent(stieltjes_fraction([1.0]), 1.0)
+    def test_stieltjes_form_is_the_reciprocal_of_the_exact_value(self):
+        s = [Fraction(2), Fraction(1, 3), Fraction(5, 2), Fraction(7)]
+        cf = stieltjes_fraction([float(v) for v in s])
+        for lam in (Fraction(1), Fraction(3, 4), Fraction(9)):
+            want = float(1 / eval_stieltjes_exact(s, -lam))
+            assert levy_exponent(cf, float(lam)) == pytest.approx(want, rel=1e-14)
+
+    def test_string_is_the_reciprocal_of_its_char_function(self):
+        s = DiscreteString(((0.0, 0.25), (1.0, 0.75)), terminal=3.0)
+        assert levy_exponent(s, 2.0) == 1.0 / char_function(s, -2.0)
+        assert levy_exponent(parse_string("x,y\n0,inf\n"), 1.0) == math.inf
 
     def test_requires_positive_argument(self):
         with pytest.raises(ValueError, match="positive"):
             levy_exponent(krein_fraction([1.0]), 0.0)
+
+
+# positive magnitudes: log-uniform from 1e-300 to 1e300, subnormals, and the ends of that range
+MAGNITUDES = st.one_of(
+    st.builds(lambda e: 10.0 ** e, st.floats(-300.0, 300.0)),
+    st.floats(5e-324, 2.2e-308),
+    st.sampled_from([1e-300, 1e300, 1.0]),
+)
+# z from -1e-300 to -1e300: -m*z underflows or overflows at the ends
+POINTS = st.one_of(st.builds(lambda e: -(10.0 ** e), st.floats(-300.0, 300.0)), st.sampled_from([-1e-300, -1e300]))
+
+
+@st.composite
+def strings(draw):
+    """Strings with and without a terminal and an origin atom, with values from 1e-300 to 1e300."""
+    origin = draw(st.one_of(st.just(0.0), MAGNITUDES))
+    records = [(0.0, origin)]
+    for gap, mass in draw(st.lists(st.tuples(MAGNITUDES, MAGNITUDES), max_size=12)):
+        x, y = records[-1][0] + gap, records[-1][1] + mass
+        if math.isinf(x) or math.isinf(y) or x == records[-1][0] or y == records[-1][1]:
+            break  # the sums ran out of range or precision
+        records.append((x, y))
+    last = records[-1][0]
+    terminal = last + draw(st.one_of(st.just(math.inf), MAGNITUDES))
+    return DiscreteString(tuple(records), None if math.isinf(terminal) or terminal == last else terminal)
+
+
+def _value_or_error(f, s, z):
+    try:
+        return f(s, z).hex()
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(strings(), POINTS)
+@example(parse_string("x,y\n0,inf\n"), -1.0)  # the list [0, 0]: W = 0
+@example(DiscreteString(((0.0, 0.0),)), -1.0)  # massless without terminal: no W
+@example(DiscreteString(((0.0, 5e-324), (1e-300, 1e-323)), terminal=1.0), -1e-300)
+@example(DiscreteString(((0.0, 1e300), (1e300, 1.5e300))), -1e300)
+def test_char_function_is_the_sweep_bit_for_bit(s, z):
+    assert _value_or_error(char_function, s, z) == _value_or_error(char_function_sweep, s, z)

@@ -38,6 +38,7 @@ WITHOUT_NUMPY = {
     "eval-coeffs": ["eval", "--coeffs", "c.json", "--z", "-1"],
     "eval-levy": ["eval", "--coeffs", "c.json", "--levy", "--lambda", "2"],
     "eval-string": ["eval", "--string", "s.csv", "--z", "-1"],
+    "eval-levy-string": ["eval", "--string", "s.csv", "--levy", "--lambda", "2"],
     "dual": ["dual", "--in", "s.csv"],
     "hat": ["hat", "--in", "s.csv"],
     "compare": ["compare", "--approx", "s.csv", "--reference", "uniform"],
