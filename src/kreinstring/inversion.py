@@ -45,7 +45,11 @@ Up to a few hundred entries, a level costs its eight ufunc calls, not its
 entries.  A level cut to C entries differs from the one two before only in
 its numbers: its views into the buffers depend on the parity of the level
 alone, which also sets the roles of the two mass buffers.  So two view sets,
-built the first time a level reaches the cut, serve every cut level.
+built the first time a level reaches the cut, serve every cut level.  The
+ufuncs are looked up and the coefficient logs taken once per pass, outputs
+go positionally and scalars are read as floats, so a cut level of
+Bessel-drift order 4095 costs about 7 us, 1 us more than its eight calls
+alone.
 
 The string ends at the plateau 1/s_0: at its first record whose value is
 1/s_0, else at its last record.  With s_0 = 0 the plateau 1/s_0 = inf is the
@@ -172,6 +176,9 @@ def _levels(s, cap):
     # level m has k = min(m // 2, cap) gaps, so once k reaches the cap a level
     # differs from the one two before only in its numbers: its views are kept
     capped = [None, None]
+    # a level costs its eight ufunc calls and little else (module docstring)
+    add, subtract, exp, log, cumsum = np.add, np.subtract, np.exp, np.log, np.add.accumulate
+    logs = [math.log(c) if c > 0.0 else -math.inf for c in s]
     with np.errstate(over="ignore"):  # linear sums past double range are inf
         for m in range(1, n + 1):
             odd = m % 2
@@ -184,10 +191,9 @@ def _levels(s, cap):
                 if k == cap:
                     capped[odd] = views
             lg_k, a_k, a1, lf_k, lf0, lf1, new_k, ldx, lm_k, lm, spare = views
-            c = s[n - m]
-            lc = math.log(c) if c > 0.0 else -math.inf
+            lc = logs[n - m]
             # log f at the origin and at every previous-level position
-            np.add(lg_k, lc, out=a1)
+            add(lg_k, lc, a1)
             if m == n:
                 # -expm1(-log f)/c needs log f accurate relative to itself
                 np.logaddexp.accumulate(a_k, out=lf_k)
@@ -195,22 +201,22 @@ def _levels(s, cap):
             else:
                 # linear prefix sums (they never decrease) up to the first
                 # that overflows, then logaddexp on from the last finite one
-                np.exp(a_k, out=lf_k)
-                np.add.accumulate(lf_k, out=lf_k)
-                if lf[k] < math.inf:
-                    np.log(lf_k, out=lf_k)
+                exp(a_k, lf_k)
+                cumsum(lf_k, out=lf_k)
+                if lf.item(k) < math.inf:
+                    log(lf_k, lf_k)
                 else:
                     j = int(lf_k.searchsorted(math.inf))
-                    np.log(lf[:j], out=lf[:j])
+                    log(lf[:j], lf[:j])
                     a[j - 1] = lf[j - 1]
                     np.logaddexp.accumulate(a[j - 1 : k + 1], out=lf[j - 1 : k + 1])
                 # new masses: gap/(f_left f_right) per old gap, then the tail 1/(c f)
-                np.subtract(lg_k, lf0, out=new_k)
-                np.subtract(new_k, lf1, out=new_k)
-                spare[k] = -lc - lf[k]
+                subtract(lg_k, lf0, new_k)
+                subtract(new_k, lf1, new_k)
+                spare[k] = -lc - lf.item(k)
             # time-changed gaps f^2 * mass; an odd level prepends y0
-            np.add(lf1, lf1, out=ldx)
-            np.add(ldx, lm_k, out=ldx)
+            add(lf1, lf1, ldx)
+            add(ldx, lm_k, ldx)
             if odd:
-                lg[0] = lm[0]
+                lg[0] = lm.item(0)
         return np.logaddexp.accumulate(lg[: odd + k]), lf1, lx

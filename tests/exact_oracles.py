@@ -1,12 +1,13 @@
 """Exact-rational reference implementations used as independent test oracles.
 
-Everything here but ``char_function_sweep`` runs on stdlib Fractions, so
-agreement with the float library certifies the float code down to
-representation error.  The reconstruction oracle mirrors the level-by-level
+Everything here but ``char_function_sweep`` and ``levels_oracle`` runs on
+stdlib Fractions, so agreement with the float library certifies the float
+code down to representation error.  The reconstruction oracle mirrors the level-by-level
 recurrences in cumulative form; exactness makes the cancellation questions
 that drive the library's difference-form state irrelevant.
 ``char_function_sweep`` is the float reference that the library's
-``char_function`` must match bit for bit.
+``char_function`` must match bit for bit, and ``levels_oracle`` the one that
+``inversion._levels`` must match bit for bit.
 """
 
 import math
@@ -150,3 +151,69 @@ def char_function_sweep(s, z: float) -> float:
             w = 1.0 / d if d else math.inf
         w += x - (s.jumps[j - 1][0] if j > 0 else 0.0)
     return w
+
+
+def levels_oracle(s, cap):
+    """Final-level logs: the positions, log f = log(1 + s_0 x) and log x at
+    every previous-level position x.  Needs n >= 1.
+
+    Every level keeps at most its first ``cap`` entries, which changes no bit
+    of the first cap - 2 records (see the ``kreinstring.inversion`` docstring).
+    """
+    import numpy as np
+
+    n = len(s) - 1
+    # a level holds at most min(cap, n // 2) + 1 entries; a[0] stays 0
+    size = min(cap, n // 2) + 1
+    a, lf, lg = np.zeros(size), np.empty(size), np.empty(size)
+    # level m reads the masses of level m - 1 from masses[m % 2] and writes
+    # its own into the other buffer.  Level 0 is the constant string of the
+    # last coefficient, y0 alone.  After an even level the masses hold y0 in
+    # slot 0 and the k masses after it; after an odd level they start at slot 0.
+    masses = (np.empty(size), np.empty(size))
+    masses[1][0] = -math.log(s[n])
+    # level m has k = min(m // 2, cap) gaps, so once k reaches the cap a level
+    # differs from the one two before only in its numbers: its views are kept
+    capped = [None, None]
+    with np.errstate(over="ignore"):  # linear sums past double range are inf
+        for m in range(1, n + 1):
+            odd = m % 2
+            views = capped[odd]
+            if views is None:
+                k = min(m // 2, cap)  # keeps its value from here on once capped
+                lm, spare = masses[odd], masses[1 - odd]
+                views = (lg[:k], a[: k + 1], a[1 : k + 1], lf[: k + 1], lf[:k], lf[1 : k + 1],
+                         spare[:k], lg[odd : odd + k], lm[odd : odd + k], lm, spare)
+                if k == cap:
+                    capped[odd] = views
+            lg_k, a_k, a1, lf_k, lf0, lf1, new_k, ldx, lm_k, lm, spare = views
+            c = s[n - m]
+            lc = math.log(c) if c > 0.0 else -math.inf
+            # log f at the origin and at every previous-level position
+            np.add(lg_k, lc, out=a1)
+            if m == n:
+                # -expm1(-log f)/c needs log f accurate relative to itself
+                np.logaddexp.accumulate(a_k, out=lf_k)
+                lx = np.logaddexp.accumulate(lg_k)
+            else:
+                # linear prefix sums (they never decrease) up to the first
+                # that overflows, then logaddexp on from the last finite one
+                np.exp(a_k, out=lf_k)
+                np.add.accumulate(lf_k, out=lf_k)
+                if lf[k] < math.inf:
+                    np.log(lf_k, out=lf_k)
+                else:
+                    j = int(lf_k.searchsorted(math.inf))
+                    np.log(lf[:j], out=lf[:j])
+                    a[j - 1] = lf[j - 1]
+                    np.logaddexp.accumulate(a[j - 1 : k + 1], out=lf[j - 1 : k + 1])
+                # new masses: gap/(f_left f_right) per old gap, then the tail 1/(c f)
+                np.subtract(lg_k, lf0, out=new_k)
+                np.subtract(new_k, lf1, out=new_k)
+                spare[k] = -lc - lf[k]
+            # time-changed gaps f^2 * mass; an odd level prepends y0
+            np.add(lf1, lf1, out=ldx)
+            np.add(ldx, lm_k, out=ldx)
+            if odd:
+                lg[0] = lm[0]
+        return np.logaddexp.accumulate(lg[: odd + k]), lf1, lx

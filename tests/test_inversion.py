@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from exact_oracles import invert_exact
+from exact_oracles import invert_exact, levels_oracle
 from kreinstring import inversion
 from kreinstring.continued import krein_fraction, stieltjes_fraction
 from kreinstring.evaluate import char_function, eval_fraction
@@ -146,6 +146,55 @@ def test_cut_levels_are_a_prefix_of_the_uncut_levels(exponents, cap):
     for got, want, size in zip(cut, uncut, (k + n % 2, k, k)):
         assert len(got) == size
         assert np.array_equal(got[: cap - 2], want[: cap - 2])
+
+
+def _drift(n):
+    p = PAPER_PARAMETERS
+    return bessel_drift_coefficients(p["alpha"], p["beta"], p["c_const"], n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(-80.0, 80.0), min_size=2, max_size=301).map(lambda es: [10.0**e for e in es]),
+    st.booleans(),
+    st.sampled_from([4, 5, 8, None]),
+)
+@example(list(tanh_coefficients(2007).coefficients), False, None)  # 954 levels overflow their linear sums
+@example(list(_drift(4095).coefficients), False, 256)
+@example([0.0, 1e-3, 10.0, 1e5, 2.0, 7.0], False, None)  # the last level has log c = -inf
+def test_levels_match_the_reference_loop_bit_for_bit(coeffs, zero_lead, cap):
+    """s_0 and 1 to 300 further log-uniform coefficients (10^+-80); cap None
+    runs the levels uncut."""
+    s = [0.0, *coeffs[1:]] if zero_lead else coeffs
+    cap = len(s) - 1 if cap is None else cap
+    with np.errstate(invalid="raise", divide="raise"):
+        got, want = inversion._levels(s, cap), levels_oracle(s, cap)
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize(
+    "cf, caps",
+    [
+        pytest.param(_drift(1023), [1023], id="drift-1023"),
+        pytest.param(_drift(2047), [256], id="drift-2047"),
+        pytest.param(_drift(4095), [256], id="drift-4095"),
+        pytest.param(_drift(8191), [256, 8191], id="drift-8191"),
+        pytest.param(tanh_coefficients(2000), [2000], id="tanh-2000"),
+    ],
+)
+def test_passes_run_at_their_caps(monkeypatch, cf, caps):
+    """Orders above 4 * _CAP with s_0 > 0 run cut first; drift 8191 then
+    runs again uncut, and orders up to 1024 and s_0 = 0 run uncut only."""
+    levels, seen = inversion._levels, []
+
+    def recorded(s, cap):
+        seen.append(cap)
+        return levels(s, cap)
+
+    monkeypatch.setattr(inversion, "_levels", recorded)
+    invert(cf)
+    assert seen == caps
 
 
 @pytest.mark.parametrize("n, kept", [(4095, 195), (8191, 274)])
