@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 precondition violation (bad flags or values, or a
 result outside double range), 2 malformed or unreadable input files.  Errors
 are one line on stderr.  All numeric output uses 17 significant digits;
 writers are deterministic, so identical inputs give identical files.
+Each ``_cmd_*`` handler returns its command's text, and ``main`` alone writes it.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ import argparse
 import functools
 import re
 import sys
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from .evaluate import char_function, eval_fraction, levy_exponent
-from .families import FAMILIES, PAPER_PARAMETERS, REFERENCES, reference_mass
+from .families import FAMILIES, PAPER_PARAMETERS, REFERENCES
 from .inversion import invert
 from .metrics import averaged_error, convergence_study, sup_error
 from .moments import coefficients_from_moments
@@ -57,39 +58,24 @@ def _read(path: str) -> str:
             raise SchemaError("%r is not UTF-8 text: %s" % (path, exc))
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as f:
-            f.write(text)
-
-
 def _flag(param: str) -> str:
     return "--" + param.replace("_", "-")
 
 
-def _reference(name: str) -> Callable[[float], float]:
-    return lambda x: reference_mass(name, x)
-
-
-def _cmd_coeffs(args) -> int:
+def _cmd_coeffs(args) -> str:
     if args.family == "from-moments":
         cf = coefficients_from_moments(parse_moments(_read(args.infile)))
     else:
         build, params = FAMILIES[args.family]
         cf = build(*[getattr(args, param) for param in params], args.n)
-    _emit(render_coefficients(cf), args.out)
-    return 0
+    return render_coefficients(cf)
 
 
-def _cmd_invert(args) -> int:
-    cf = parse_coefficients(_read(args.infile))
-    _emit(render_string(invert(cf)), args.out)
-    return 0
+def _cmd_invert(args) -> str:
+    return render_string(invert(parse_coefficients(_read(args.infile))))
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> str:
     if args.levy != (args.lam is not None):
         raise _UsageError("--levy and --lambda go together")
     if args.levy and not args.lam > 0.0:
@@ -98,29 +84,24 @@ def _cmd_eval(args) -> int:
         source, evaluate = parse_coefficients(_read(args.coeffs)), eval_fraction
     else:
         source, evaluate = parse_string(_read(args.string)), char_function
-    print(fmt(levy_exponent(source, args.lam) if args.levy else evaluate(source, args.z)))
-    return 0
+    return fmt(levy_exponent(source, args.lam) if args.levy else evaluate(source, args.z)) + "\n"
 
 
-def _cmd_dual(args) -> int:
-    _emit(render_string(dual(parse_string(_read(args.infile)))), args.out)
-    return 0
+def _cmd_dual(args) -> str:
+    return render_string(dual(parse_string(_read(args.infile))))
 
 
-def _cmd_hat(args) -> int:
-    _emit(render_string(remove_zero_atom(parse_string(_read(args.infile)))), args.out)
-    return 0
+def _cmd_hat(args) -> str:
+    return render_string(remove_zero_atom(parse_string(_read(args.infile))))
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> str:
     approx = parse_string(_read(args.approx))
     measure = averaged_error if args.averaged else sup_error
-    report = measure(approx, _reference(args.reference), args.window)
-    _emit(render_report(report), args.out)
-    return 0
+    return render_report(measure(approx, REFERENCES[args.reference], args.window))
 
 
-def _cmd_study(args) -> int:
+def _cmd_study(args) -> str:
     build, params = FAMILIES[args.family]
     foreign = [_flag(p) for p in PAPER_PARAMETERS if p not in params and getattr(args, p) is not None]
     if foreign:
@@ -131,13 +112,9 @@ def _cmd_study(args) -> int:
     except ValueError:
         raise ValueError("--n-list must be comma-separated integers")
     study = convergence_study(
-        lambda n: build(*fixed, n), ns, _reference(args.reference), args.window, averaged=args.averaged
+        lambda n: build(*fixed, n), ns, REFERENCES[args.reference], args.window, averaged=args.averaged
     )
-    if args.out is not None and args.out.endswith(".csv"):
-        _emit(render_study_csv(study), args.out)
-    else:
-        _emit(render_study(study), args.out)
-    return 0
+    return (render_study_csv if (args.out or "").endswith(".csv") else render_study)(study)
 
 
 @functools.cache  # built on the first main() call, then shared: parse_args leaves it unchanged
@@ -158,10 +135,15 @@ def _build_parser() -> _Parser:
     f.add_argument("--in", dest="infile", required=True, help="moments JSON")
     f.add_argument("--out", help="output file (stdout if omitted)")
 
-    p = sub.add_parser("invert", help="reconstruct a string from Krein-form coefficients")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_invert)
+    for name, summary, handler in (
+        ("invert", "reconstruct a string from Krein-form coefficients", _cmd_invert),
+        ("dual", "dual string (inverse mass distribution)", _cmd_dual),
+        ("hat", "remove the spectral atom at zero (finite total mass only)", _cmd_hat),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--out")
+        p.set_defaults(func=handler)
 
     p = sub.add_parser("eval", help="evaluate a characteristic function")
     src = p.add_mutually_exclusive_group(required=True)
@@ -171,17 +153,7 @@ def _build_parser() -> _Parser:
     at.add_argument("--z", type=float, help="evaluation point (negative real)")
     at.add_argument("--lambda", dest="lam", type=float, help="Levy exponent argument (positive), with --levy")
     p.add_argument("--levy", action="store_true", help="evaluate the Levy exponent 1/W(-lambda)")
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("dual", help="dual string (inverse mass distribution)")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_dual)
-
-    p = sub.add_parser("hat", help="remove the spectral atom at zero (finite total mass only)")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_hat)
+    p.set_defaults(func=_cmd_eval, out=None)
 
     p = sub.add_parser("compare", help="error report against a closed-form reference")
     p.add_argument("--approx", required=True, help="string CSV file")
@@ -209,7 +181,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        text = args.func(args)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as f:
+                f.write(text)
+        return 0
     except (SchemaError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -10,9 +10,10 @@ Three KREIN-form families with known characteristic functions:
 * ``log_limit_coefficients``: the alpha -> 0 limit of the previous family
   with gamma pinned to 1/2, W(z) = 2 / log(1 - z/beta).
 
-``reference_mass`` exposes the two closed-form mass curves used to judge
-reconstructions.  ``FAMILIES`` and ``REFERENCES`` list what exists by name,
-for the command line.
+``REFERENCES`` maps the name of each closed-form mass curve used to judge
+reconstructions to the curve itself, and ``reference_mass`` evaluates one by
+name.  The command line takes its families and references from ``FAMILIES``
+and ``REFERENCES``.
 """
 
 from __future__ import annotations
@@ -57,8 +58,12 @@ def bessel_drift_coefficients(alpha: float, beta: float, c_const: float, n: int)
         raise ValueError("need n >= 0")
     params = f"alpha = {alpha:g}, beta = {beta:g}, c_const = {c_const:g}"
     gamma = c_const * math.gamma(1.0 - alpha) * beta**alpha
+    formula = "gamma = c_const * Gamma(1-alpha) * beta**alpha"
     if not 0.0 < gamma < math.inf:
-        raise OverflowError(f"gamma = c_const * Gamma(1-alpha) * beta**alpha is outside double range at {params}")
+        raise OverflowError(f"{formula} is outside double range at {params}")
+    # a subnormal gamma leaves every coefficient a few digits; an infinite s_0 = beta/gamma is named instead
+    if gamma < sys.float_info.min and beta / gamma < math.inf:
+        raise OverflowError(f"{formula} = {gamma:.3g} is below the normal double range at {params}")
     coeffs = []
     ratio_even = 1.0  # (1-alpha)_j / (1+alpha)_j
     ratio_odd = 1.0 / (1.0 - alpha)  # (1+alpha)_j / (1-alpha)_{j+1}
@@ -70,7 +75,7 @@ def bessel_drift_coefficients(alpha: float, beta: float, c_const: float, n: int)
         ratio_even *= (1.0 - alpha + j) / (1.0 + alpha + j)
         ratio_odd *= (1.0 + alpha + j) / (2.0 - alpha + j)
         j += 1
-    return _fraction_in_double_range(coeffs, params, gamma)
+    return _fraction_in_double_range(coeffs, params)
 
 
 def log_limit_coefficients(beta: float, n: int) -> ContinuedFraction:
@@ -96,18 +101,15 @@ def log_limit_coefficients(beta: float, n: int) -> ContinuedFraction:
     return _fraction_in_double_range(coeffs, f"beta = {beta:g}")
 
 
-def _fraction_in_double_range(coeffs: list, params: str, gamma: float = 1.0) -> ContinuedFraction:
+def _fraction_in_double_range(coeffs: list, params: str) -> ContinuedFraction:
     """The KREIN-form fraction of coeffs, every one of which must be a
     positive normal double; a 0 or an inf is a coefficient the parameters
     push out of double range, and a 0 for s_0 would even mean another string.
-    A subnormal coefficient, or any coefficient of a subnormal gamma, keeps
-    only the few digits left below the normal range."""
+    A subnormal coefficient keeps only the few digits left below the normal
+    range."""
     if not (0.0 < min(coeffs) and max(coeffs) < math.inf):
         j = next(j for j, s in enumerate(coeffs) if not 0.0 < s < math.inf)
         raise OverflowError(f"s_{j} is outside double range at {params}")
-    if gamma < sys.float_info.min:
-        formula = "gamma = c_const * Gamma(1-alpha) * beta**alpha"
-        raise OverflowError(f"{formula} = {gamma:.3g} is below the normal double range at {params}")
     if min(coeffs) < sys.float_info.min:
         j = next(j for j, s in enumerate(coeffs) if s < sys.float_info.min)
         raise OverflowError(f"s_{j} = {coeffs[j]:.3g} is below the normal double range at {params}")
@@ -121,7 +123,12 @@ FAMILIES = {
     "log-limit": (log_limit_coefficients, ("beta",)),
 }
 
-REFERENCES = ("bm-drift", "uniform")
+# reference name -> closed-form cumulative mass M(x), for x >= 0 (see reference_mass)
+REFERENCES = {
+    # the quotient is exactly 0.5 long before 4x overflows
+    "bm-drift": lambda x: 2.0 * x / (1.0 + 4.0 * x) if x < 1e300 else 0.5,
+    "uniform": lambda x: x if x < 1.0 else math.inf,
+}
 
 # The paper's parameters: alpha = 1/2, beta = 2, c = 1/sqrt(2 pi), so that
 # gamma = c * Gamma(1/2) * sqrt(2) = 1 and the drift family is 2, 4, 2, 4, ...
@@ -136,9 +143,6 @@ def reference_mass(name: str, x: float) -> float:
     """
     if not x >= 0.0:
         raise ValueError("mass is defined for x >= 0 only")
-    if name == "bm-drift":
-        # the quotient is exactly 0.5 long before 4x overflows
-        return 2.0 * x / (1.0 + 4.0 * x) if x < 1e300 else 0.5
-    if name == "uniform":
-        return x if x < 1.0 else math.inf
-    raise ValueError(f"unknown reference {name!r} (choose bm-drift or uniform)")
+    if name not in REFERENCES:
+        raise ValueError(f"unknown reference {name!r} (choose {' or '.join(REFERENCES)})")
+    return REFERENCES[name](x)

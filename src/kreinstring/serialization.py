@@ -128,7 +128,8 @@ def parse_string(text: str) -> DiscreteString:
             raise SchemaError("line %d: non-numeric entry" % i)
         if terminal is not None:
             raise SchemaError("line %d: rows after the terminal marker" % i)
-        if y == math.inf:  # -inf falls through to the row checks
+        # only a spelled infinity marks the terminal; -inf and an overflow like 1e400 fall through to the row checks
+        if y == math.inf and row[1].strip().lstrip("+").lower() in ("inf", "infinity"):
             terminal = x
         else:
             pairs.append((x, y))

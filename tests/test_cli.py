@@ -347,6 +347,48 @@ def test_one_parser_serves_every_call_as_a_fresh_one_would(tmp_path):
     assert reused[6][1] == TANH3
 
 
+# -- main writes each command's text once ---------------------------------------
+
+STUDY_TANH = ["study", "--family", "tanh", "--n-list", "5,11,21", "--reference", "uniform", "--window", "0.9"]
+
+# every command that takes --out: its argv, the name of its --out file, and an argv that fails;
+# "@c", "@m", "@s" and "@bad" name a coefficient, moment, string and malformed file
+WRITERS = {
+    "tanh": (["coeffs", "tanh", "-n", "5"], "c.json", ["coeffs", "tanh", "-n", "0"]),
+    "bessel-drift": (["coeffs", "bessel-drift", "-n", "5", "--alpha", "0.5", "--beta", "2", "--c-const", "0.3"],
+                     "c.json", ["coeffs", "bessel-drift", "-n", "5", "--alpha", "0.5", "--beta", "2", "--c-const", "1e308"]),
+    "log-limit": (["coeffs", "log-limit", "-n", "5", "--beta", "2"], "c.json",
+                  ["coeffs", "log-limit", "-n", "5", "--beta", "1e308"]),
+    "from-moments": (["coeffs", "from-moments", "--in", "@m"], "c.json", ["coeffs", "from-moments", "--in", "@bad"]),
+    "invert": (["invert", "--in", "@c"], "s.csv", ["invert", "--in", "@bad"]),
+    "dual": (["dual", "--in", "@s"], "d.csv", ["dual", "--in", "@bad"]),
+    "hat": (["hat", "--in", "@s"], "h.csv", ["hat", "--in", "@bad"]),
+    "compare": (["compare", "--approx", "@s", "--reference", "uniform", "--window", "0.9"], "r.json",
+                ["compare", "--approx", "@s", "--reference", "uniform", "--window", "nan"]),
+    "study-json": (STUDY_TANH, "st.json", ["study", "--family", "tanh", "--n-list", "1,2", "--reference", "uniform"]),
+    "study-csv": (STUDY_TANH, "st.csv", ["study", "--family", "tanh", "--n-list", "1,2", "--reference", "uniform"]),
+}
+
+
+@pytest.mark.parametrize("argv, name, failing", list(WRITERS.values()), ids=list(WRITERS))
+def test_out_file_holds_the_bytes_stdout_would(argv, name, failing, tmp_path):
+    files = {"@c": TANH3, "@m": '{"c":[2,3,5,9]}', "@s": "x,y\n0,0.5\n4,1\n", "@bad": "{nope"}
+    for key, text in files.items():
+        (tmp_path / key[1:]).write_text(text)
+    path = tmp_path / name
+    argv, failing = ([str(tmp_path / t[1:]) if t in files else t for t in a] for a in (argv, failing))
+    code, out, err = _run_quietly(argv)
+    assert (code, err) == (0, "") and out
+    if name.endswith(".csv") and argv[0] == "study":  # stdout is the JSON study; the file, the same study as CSV
+        out = "n,error\n" + "".join("%d,%s\n" % (n, fmt(e)) for n, e in json.loads(out)["entries"])
+    assert _run_quietly(argv + ["--out", str(path)]) == (0, "", "")
+    assert path.read_bytes() == out.encode()
+    path.unlink()
+    for result in (_run_quietly(failing), _run_quietly(failing + ["--out", str(path)])):
+        assert result[0] in (1, 2) and result[1] == ""
+    assert not path.exists()
+
+
 # -- each command takes exactly its own flags ----------------------------------
 
 
@@ -547,6 +589,7 @@ FAULTS = {
     "digits-coeffs": ("invert --in @in", b'{"form":"krein","s":[1,' + b"1" * 5000 + b"]}", 2, "not valid JSON"),
     "digits-moments": ("coeffs from-moments --in @in", b'{"c":[1,' + b"1" * 5000 + b"]}", 2, "not valid JSON"),
     "neg-inf-terminal": ("dual --in @in", b"x,y\n0,0\n1,1\n2,-inf\n", 1, "non-finite entry at row 2"),
+    "overflowing-mass": ("eval --string @in --z -1", b"x,y\n0,0\n1,1e400\n", 1, "non-finite entry at row 1: (1.0, inf)"),
     "hat-near-cap-terminal": ("hat --in @in", b"x,y\n0,0\n1,0.5\n2,0.999999999999\n3,1\n", 0,
                               "\n1.2500000000000002,inf\n"),
     "hat-near-cap-merge": ("hat --in @in", b"x,y\n0,0\n1,0.5\n2,0.999999999999\n3,0.9999999999999\n4,1\n", 0,

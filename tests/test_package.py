@@ -1,4 +1,6 @@
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -83,3 +85,24 @@ def test_import_builds_no_parser():
     # the command-line parser is built on the first main() call, not at import
     done = fresh_python("import kreinstring.cli as cli; print(cli._build_parser.cache_info().currsize)")
     assert done.stdout == "0\n"
+
+
+def _stdout_writers(path):
+    """(top-level definition, line) of each print call and each use of sys.stdout in the module."""
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            called = isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
+            named = isinstance(node, ast.Attribute) and node.attr == "stdout" and getattr(node.value, "id", None) == "sys"
+            imported = isinstance(node, ast.alias) and node.name == "stdout"
+            if called or named or imported:
+                found.append((getattr(top, "name", None), node.lineno))
+    return found
+
+
+def test_only_cli_main_writes_to_stdout():
+    # reports and telemetry go to stderr; stdout carries only the command's text, written once by main
+    package = pathlib.Path(kreinstring.__file__).parent
+    writers = {path.name: _stdout_writers(path) for path in sorted(package.rglob("*.py"))}
+    assert {name for name, _ in writers.pop("cli.py")} == {"main"}
+    assert writers == {name: [] for name in writers}

@@ -195,6 +195,16 @@ class TestStrings:
         with pytest.raises(SchemaError, match=message):
             parse_string(text)
 
+    @pytest.mark.parametrize("spelling", ["inf", "+inf", "INF", "Infinity", " +infinity "])
+    def test_spelled_infinity_marks_the_terminal(self, spelling):
+        s = parse_string("x,y\n0,0\n1,1\n2,%s\n" % spelling)
+        assert s.jumps[-1] == (1.0, 1.0) and s.terminal == 2.0
+
+    @pytest.mark.parametrize("overflow", ["1e400", "1" + "0" * 400])
+    def test_an_infinite_value_that_is_not_spelled_inf_is_no_terminal(self, overflow):
+        with pytest.raises(ValueError, match="non-finite entry at row 2"):
+            parse_string("x,y\n0,0\n1,1\n2,%s\n" % overflow)
+
     def test_invalid_geometry_propagates_from_validation(self):
         with pytest.raises(ValueError, match="decrease"):
             parse_string("x,y\n0,2\n1,1\n")
