@@ -3,7 +3,10 @@
 Writers render numbers with 17 significant digits so a double survives a
 round trip bit-for-bit, and build the JSON text by hand so identical inputs
 give byte-identical files.  Readers accept rationals written as "p/q" strings
-wherever exactness matters.
+wherever exactness matters.  A string file is CSV: the layout
+``render_string`` writes is read a column at a time, and any other text
+(quoted fields, a bare carriage return, a misplaced terminal, an error) goes
+through the csv module row by row, whose errors name the file line.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import io
 import json
 import math
 from fractions import Fraction
+from itertools import repeat
 from typing import List, Optional
 
 from .continued import ContinuedFraction, Form
@@ -41,17 +45,24 @@ def render_coefficients(cf: ContinuedFraction) -> str:
     return '{"form":"%s","s":[%s]%s}\n' % (cf.form.value, body, tail)
 
 
-def _parse_entry(v: object, where: str) -> float:
-    if isinstance(v, bool):
-        raise SchemaError("%s: expected number or 'p/q' string" % where)
-    if isinstance(v, (int, float)):
-        return float(v)
-    if isinstance(v, str):
+def _parse_entry(i: int, v: object) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+        raise SchemaError("\"s\" entry: expected number or 'p/q' string")
+    try:
+        return float(Fraction(v) if isinstance(v, str) else v)
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError('"s" entry: cannot parse %r as a rational' % (v,))
+    except OverflowError:  # an integer or a rational past double range
+        raise OverflowError("s_%d is too large for a double" % i)
+
+
+def _parse_entries(s: list) -> tuple:
+    if {int, float}.issuperset(map(type, s)):  # JSON numbers and no bools: one conversion
         try:
-            return float(Fraction(v))
-        except (ValueError, ZeroDivisionError):
-            raise SchemaError("%s: cannot parse %r as a rational" % (where, v))
-    raise SchemaError("%s: expected number or 'p/q' string" % where)
+            return tuple(map(float, s))
+        except OverflowError:
+            pass  # the entry-by-entry path names the entry
+    return tuple(_parse_entry(i, v) for i, v in enumerate(s))
 
 
 def _load_json(text: str, what: str) -> object:
@@ -73,7 +84,7 @@ def parse_coefficients(text: str) -> ContinuedFraction:
         raise SchemaError('"form" must be "krein" or "stieltjes"')
     if not isinstance(data["s"], list):
         raise SchemaError('"s" must be a list')
-    coeffs = tuple(_parse_entry(v, '"s" entry') for v in data["s"])
+    coeffs = _parse_entries(data["s"])
     terminated = data.get("terminated", False)
     if not isinstance(terminated, bool):
         raise SchemaError('"terminated" must be a boolean')
@@ -109,7 +120,50 @@ def render_string(s: DiscreteString) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_string(text: str) -> DiscreteString:
+def _spelled_infinity(cell: str) -> bool:
+    # only a spelled infinity marks the terminal; -inf and an overflow like 1e400 fall through to the row checks
+    return cell.strip().lstrip("+").lower() in ("inf", "infinity")
+
+
+def _columns(text: str):
+    """(pairs, terminal) of the layout render_string writes, or None for any other text.
+
+    The layout: no carriage return outside a \\r\\n line end, the header on
+    the first line, exactly one comma on every other non-blank line, no field
+    past csv's size limit, every field a float (so no field is quoted), and a
+    spelled infinity in the last row only.  Other text, errors included, is
+    left to the csv loop of _rows, so both give the same string or the same
+    error.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:  # a bare \r ends a row for csv, not for split
+            return None
+    header, *lines = text.split("\n")
+    head = header.split(",")
+    lines = list(filter(None, lines))  # blank lines
+    if [c.strip() for c in head] != ["x", "y"] or set(map(str.count, lines, repeat(","))) != {1}:
+        return None
+    cells = ",".join(lines).split(",")
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, head + cells)) > limit:
+        return None
+    try:
+        xs, ys = list(map(float, cells[0::2])), list(map(float, cells[1::2]))
+    except ValueError:
+        return None
+    terminal: Optional[float] = None
+    if math.inf in ys:
+        if ys.index(math.inf) < len(ys) - 1:
+            return None
+        if _spelled_infinity(cells[-1]):
+            terminal = xs.pop()
+            ys.pop()
+    return zip(xs, ys), terminal
+
+
+def _rows(text: str):
+    """(pairs, terminal) of any CSV text, row by row; errors name the file line."""
     reader = csv.reader(io.StringIO(text))
     try:
         rows = [(reader.line_num, r) for r in reader if r]  # numbered as in the file, blank lines too
@@ -128,11 +182,15 @@ def parse_string(text: str) -> DiscreteString:
             raise SchemaError("line %d: non-numeric entry" % i)
         if terminal is not None:
             raise SchemaError("line %d: rows after the terminal marker" % i)
-        # only a spelled infinity marks the terminal; -inf and an overflow like 1e400 fall through to the row checks
-        if y == math.inf and row[1].strip().lstrip("+").lower() in ("inf", "infinity"):
+        if y == math.inf and _spelled_infinity(row[1]):
             terminal = x
         else:
             pairs.append((x, y))
+    return pairs, terminal
+
+
+def parse_string(text: str) -> DiscreteString:
+    pairs, terminal = _columns(text) or _rows(text)
     return validate_string(pairs, terminal=terminal)
 
 

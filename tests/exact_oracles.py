@@ -1,19 +1,26 @@
 """Exact-rational reference implementations used as independent test oracles.
 
-Everything here but ``char_function_sweep`` and ``levels_oracle`` runs on
-stdlib Fractions, so agreement with the float library certifies the float
+Everything here but ``char_function_sweep``, ``levels_oracle`` and
+``parse_string_oracle`` runs on stdlib Fractions, so agreement with the float library certifies the float
 code down to representation error.  The reconstruction oracle mirrors the level-by-level
 recurrences in cumulative form; exactness makes the cancellation questions
 that drive the library's difference-form state irrelevant.
 ``char_function_sweep`` is the float reference that the library's
 ``char_function`` must match bit for bit, and ``levels_oracle`` the one that
-``inversion._levels`` must match bit for bit.
+``inversion._levels`` must match bit for bit.  ``parse_string_oracle`` reads
+a string file row by row through the csv module, as the library's
+``parse_string`` did before it read its own layout a column at a time.
 """
 
+import csv
+import io
 import math
 from fractions import Fraction
 from math import factorial
 from typing import List, Optional, Sequence, Tuple
+
+from kreinstring.serialization import SchemaError
+from kreinstring.strings import DiscreteString, validate_string
 
 
 def invert_exact(
@@ -217,3 +224,30 @@ def levels_oracle(s, cap):
             if odd:
                 lg[0] = lm[0]
         return np.logaddexp.accumulate(lg[: odd + k]), lf1, lx
+
+
+def parse_string_oracle(text: str) -> DiscreteString:
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = [(reader.line_num, r) for r in reader if r]  # numbered as in the file, blank lines too
+    except csv.Error as exc:
+        raise SchemaError("string file is not valid CSV: %s" % exc)
+    if not rows or [c.strip() for c in rows[0][1]] != ["x", "y"]:
+        raise SchemaError('string file must start with header "x,y"')
+    pairs = []
+    terminal: Optional[float] = None
+    for i, row in rows[1:]:
+        if len(row) != 2:
+            raise SchemaError("line %d: expected two columns" % i)
+        try:
+            x, y = float(row[0]), float(row[1])
+        except ValueError:
+            raise SchemaError("line %d: non-numeric entry" % i)
+        if terminal is not None:
+            raise SchemaError("line %d: rows after the terminal marker" % i)
+        # only a spelled infinity marks the terminal; -inf and an overflow like 1e400 fall through to the row checks
+        if y == math.inf and row[1].strip().lstrip("+").lower() in ("inf", "infinity"):
+            terminal = x
+        else:
+            pairs.append((x, y))
+    return validate_string(pairs, terminal=terminal)

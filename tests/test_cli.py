@@ -121,6 +121,12 @@ class TestEval:
         assert code == 0
         assert float(out) == pytest.approx(1.5)
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_quoted_string_file(self, capsys, tmp_path, end):
+        path = tmp_path / "s.csv"
+        path.write_bytes(end.join(["x,y", '"0","1"', '"2",inf', ""]).encode())
+        assert run(capsys, "eval", "--string", str(path), "--z", "-1") == (0, "0.66666666666666663\n", "")
+
     def test_levy_exponent(self, capsys, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{"form":"krein","s":[4]}')

@@ -4,9 +4,11 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from exact_oracles import parse_string_oracle
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from kreinstring import serialization
 from kreinstring.continued import ContinuedFraction, Form, krein_fraction
 from kreinstring.families import tanh_coefficients
 from kreinstring.inversion import invert
@@ -47,6 +49,14 @@ def canonical_strings(draw):
 def fractions(draw):
     s = [draw(st.one_of(ORIGIN, POSITIVE))] + draw(st.lists(POSITIVE, max_size=6))
     return ContinuedFraction(draw(st.sampled_from(Form)), tuple(s), draw(st.booleans()))
+
+
+def _outcome(parse, text):
+    """repr of what parse returns (it shows -0.0), or the type and text of its error."""
+    try:
+        return repr(parse(text))
+    except (SchemaError, ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
 
 
 class TestWritersFormatLikeFmt:
@@ -128,6 +138,27 @@ class TestCoefficients:
         with pytest.raises(SchemaError, match=message):
             parse_coefficients(text)
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ("1,1" + "0" * 400, "s_1 is too large for a double"),
+            ('"1' + "0" * 400 + '/3"', "s_0 is too large for a double"),
+            ('2,"1/3",1' + "0" * 400, "s_2 is too large for a double"),
+            ("1" + "0" * 400 + ",true", "s_0 is too large for a double"),
+        ],
+    )
+    def test_an_entry_past_double_range_is_named(self, entries, message):
+        with pytest.raises(OverflowError, match="^%s$" % message):
+            parse_coefficients('{"form":"krein","s":[%s]}' % entries)
+
+    @given(st.lists(st.one_of(st.integers(), st.integers(10**307, 10**309), st.floats(), st.booleans(),
+                              st.sampled_from(["1/3", "1" + "0" * 400 + "/3", "abc", None]))))
+    def test_a_number_column_reads_as_entry_by_entry(self, entries):
+        def by_entry(entries):
+            return tuple(serialization._parse_entry(i, v) for i, v in enumerate(entries))
+
+        assert _outcome(serialization._parse_entries, entries) == _outcome(by_entry, entries)
+
 
 class TestMoments:
     def test_integers_and_fraction_strings(self):
@@ -208,6 +239,85 @@ class TestStrings:
     def test_invalid_geometry_propagates_from_validation(self):
         with pytest.raises(ValueError, match="decrease"):
             parse_string("x,y\n0,2\n1,1\n")
+
+    @given(canonical_strings())
+    def test_written_files_are_read_without_the_csv_module(self, s):
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader called on a file render_string wrote")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(serialization.csv, "reader", refuse)
+            assert parse_string(render_string(s)) == s
+
+
+# cells that end a parse or mark a terminal
+ODD_CELLS = st.sampled_from(["inf", "+Inf", "Infinity", " inf ", "-inf", "1e400", "nan", "abc", "\x00", "", " 1 ", "-1"])
+HEADERS = st.sampled_from([" x , y ", "X,Y", "x,y,z", "x", "a,b", '"x","y"', ""])
+
+
+@st.composite
+def mutations(draw, count):
+    """One change to a list of `count` lines, the header first: (line index, kind of change, new text)."""
+    i = draw(st.integers(0, count - 1))
+    kind = draw(st.sampled_from(["header", "blank", "space", "x", "y", "quote", "short", "long", "end"]))
+    return i, kind, draw(HEADERS if kind == "header" else ODD_CELLS if kind in "xy" else st.sampled_from(["\r\n", "\r"]))
+
+
+@st.composite
+def string_texts(draw):
+    """Texts of string files: the layout render_string writes, with up to three changes from a grammar.
+
+    Rows are increasing %.17g or repr doubles, with a terminal row or not.  A
+    change replaces the header, puts in a blank or whitespace-only line, a
+    cell that ends a parse or marks a terminal, a quoted field, a missing or
+    an extra comma, or a \\r\\n or bare \\r line end.
+    """
+    spelling = draw(st.sampled_from(["%.17g", "%r"]))
+    steps = draw(st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)), max_size=6))
+    x = y = 0.0
+    rows = []
+    for dx, dy in steps:
+        x, y = x + dx, y + dy
+        rows.append([spelling % x, spelling % y])
+    if draw(st.booleans()):
+        rows.append([spelling % (x + 1.0), draw(st.sampled_from(["inf", "+Inf", "Infinity"]))])
+    lines = [["x", "y"]] + rows
+    ends = ["\n"] * len(lines)
+    for i, kind, value in draw(st.lists(mutations(len(lines)), max_size=3)):
+        if kind == "header":
+            lines[0] = value.split(",")
+        elif kind in ("blank", "space"):  # before line i
+            lines.insert(i, [] if kind == "blank" else [" "])
+            ends.insert(i, "\n")
+        elif kind in "xy":  # the cell in that column, or a cell of its own on a blank line
+            lines[i] = lines[i][:] or [value]
+            lines[i][min("xy".index(kind), len(lines[i]) - 1)] = value
+        elif kind == "quote":
+            lines[i] = ['"%s"' % c for c in lines[i]]
+        elif kind == "short":
+            lines[i] = lines[i][:1]
+        elif kind == "long":
+            lines[i] = lines[i] + ["1"]
+        else:
+            ends[i] = value
+    text = "".join(",".join(line) + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@given(string_texts())
+@example("x,y\n" + "1" * 200000 + ",1\n")  # a field past csv's size limit
+@example("x" + " " * 200000 + ",y\n0,1\n")
+@example("x,y\n0\r,1\n")  # two rows to csv, one line to a split
+@example("x,y\n0,1\n2,inf\n")
+@example("x,y\r\n\r\n0,1\r\n2,+Infinity\r\n")
+@example("x,y\n0,1\n2,inf\n3,4\n")
+@example("x,y\n0,1e400\n2,inf\n")
+@example("x,y\n0,1\n2,1e400\n")
+@example('x,y\n"0",1\n')
+@example("x,y\n")
+def test_the_column_reader_agrees_with_the_csv_rows(text):
+    assert _outcome(parse_string, text) == _outcome(parse_string_oracle, text)
+
 
 
 class TestReportsAndStudies:
