@@ -14,14 +14,12 @@ from .evaluate import char_function, eval_fraction, levy_exponent
 from .families import (
     bessel_drift_coefficients,
     log_limit_coefficients,
-    reference_mass,
     tanh_coefficients,
 )
 from .inversion import invert
 from .metrics import ConvergenceStudy, ErrorReport, averaged_error, convergence_study, sup_error
 from .moments import (
     DeterminacyReport,
-    MomentSequence,
     coefficients_from_moments,
     determinacy_diagnostic,
     stieltjes_from_moments_exact,
@@ -38,7 +36,6 @@ __all__ = [
     "DiscreteString",
     "ErrorReport",
     "Form",
-    "MomentSequence",
     "averaged_error",
     "bessel_drift_coefficients",
     "char_function",
@@ -52,7 +49,6 @@ __all__ = [
     "krein_fraction",
     "levy_exponent",
     "log_limit_coefficients",
-    "reference_mass",
     "remove_zero_atom",
     "stieltjes_fraction",
     "stieltjes_from_moments_exact",

@@ -51,7 +51,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8", newline="") as f:  # the file's line ends, as the parsers take them
         try:
             return f.read()
         except UnicodeDecodeError as exc:

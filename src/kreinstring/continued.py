@@ -46,11 +46,6 @@ class ContinuedFraction:
             if j > 0 and s <= 0.0:
                 raise ValueError(f"s_{j} must be > 0, got {s}")
 
-    @property
-    def order(self) -> int:
-        """Index n of the last coefficient."""
-        return len(self.coefficients) - 1
-
 
 def krein_fraction(coefficients: Iterable[float], terminated: bool = False) -> ContinuedFraction:
     return ContinuedFraction(Form.KREIN, tuple(float(s) for s in coefficients), terminated)

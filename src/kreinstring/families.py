@@ -11,9 +11,10 @@ Three KREIN-form families with known characteristic functions:
   with gamma pinned to 1/2, W(z) = 2 / log(1 - z/beta).
 
 ``REFERENCES`` maps the name of each closed-form mass curve used to judge
-reconstructions to the curve itself, and ``reference_mass`` evaluates one by
-name.  The command line takes its families and references from ``FAMILIES``
-and ``REFERENCES``.
+reconstructions to the curve itself: ``bm-drift`` is M(x) = 2x/(1+4x), the
+drifted-Brownian-motion string, and ``uniform`` is M(x) = x up to 1, infinite
+beyond.  The command line takes its families and references from
+``FAMILIES`` and ``REFERENCES``.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ FAMILIES = {
     "log-limit": (log_limit_coefficients, ("beta",)),
 }
 
-# reference name -> closed-form cumulative mass M(x), for x >= 0 (see reference_mass)
+# reference name -> closed-form cumulative mass M(x), for x >= 0
 REFERENCES = {
     # the quotient is exactly 0.5 long before 4x overflows
     "bm-drift": lambda x: 2.0 * x / (1.0 + 4.0 * x) if x < 1e300 else 0.5,
@@ -133,16 +134,3 @@ REFERENCES = {
 # The paper's parameters: alpha = 1/2, beta = 2, c = 1/sqrt(2 pi), so that
 # gamma = c * Gamma(1/2) * sqrt(2) = 1 and the drift family is 2, 4, 2, 4, ...
 PAPER_PARAMETERS = {"alpha": 0.5, "beta": 2.0, "c_const": 1.0 / math.sqrt(2.0 * math.pi)}
-
-
-def reference_mass(name: str, x: float) -> float:
-    """Closed-form cumulative mass of a named reference string.
-
-    ``bm-drift``: M(x) = 2x/(1+4x), the drifted-Brownian-motion string.
-    ``uniform``:  M(x) = x up to 1, infinite beyond.
-    """
-    if not x >= 0.0:
-        raise ValueError("mass is defined for x >= 0 only")
-    if name not in REFERENCES:
-        raise ValueError(f"unknown reference {name!r} (choose {' or '.join(REFERENCES)})")
-    return REFERENCES[name](x)

@@ -26,10 +26,8 @@ from typing import List, Sequence, Tuple
 
 from .continued import ContinuedFraction, Form
 
-MomentSequence = Sequence[Fraction]
 
-
-def stieltjes_from_moments_exact(moments: MomentSequence) -> Tuple[List[Fraction], bool]:
+def stieltjes_from_moments_exact(moments: Sequence[Fraction]) -> Tuple[List[Fraction], bool]:
     """Exact Stieltjes-form coefficients from the moments c_k = integral of x^k.
 
     Returns (coefficients, terminated).  ``terminated`` means the remainder
@@ -69,7 +67,7 @@ def stieltjes_from_moments_exact(moments: MomentSequence) -> Tuple[List[Fraction
     return coeffs, False
 
 
-def coefficients_from_moments(moments: MomentSequence) -> ContinuedFraction:
+def coefficients_from_moments(moments: Sequence[Fraction]) -> ContinuedFraction:
     """Float boundary over the exact extraction; Stieltjes form.
 
     Every exact coefficient is positive.  Raises OverflowError naming s_j when

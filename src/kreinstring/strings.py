@@ -5,11 +5,13 @@ M : [0, inf) -> [0, inf], stored as its finitely many jumps plus an optional
 "terminal" coordinate beyond which the mass is infinite.  The jumps are a plain
 tuple, read without numpy: ``eval_mass`` is a binary search on it.
 
-Canonical form comes from one record loop with two entry points:
-``validate_string`` checks rows from outside the program strictly and passes
-their terminal on unchanged, while ``build_string`` takes records the library
-computed, where rounding may land distinct jumps on one double: those merge,
-and a terminal on or before the last position moves to the next double.
+Canonical form comes from one record loop with two entry points, and each
+record is checked once.  ``validate_string`` checks rows from outside the
+program strictly, then builds the string without checking its jumps again:
+jumps merged from checked rows cannot fail.  ``build_string`` takes records
+the library computed, where rounding may land distinct jumps on one double:
+those merge, a terminal on or before the last position moves to the next
+double, and ``DiscreteString`` checks the jumps once, as for any string.
 """
 
 from __future__ import annotations
@@ -40,37 +42,43 @@ class DiscreteString:
         if self.jumps[0][0] != 0.0:
             raise ValueError("canonical form starts at position 0")
         _check_records(self.jumps, "jump")
-        for i, ((_, y), (_, next_y)) in enumerate(zip(self.jumps, self.jumps[1:]), 1):
-            if next_y == y:
-                raise ValueError(f"zero mass increment at jump {i}")
-        if self.terminal is not None:
-            last_x, last_y = self.jumps[-1]
-            if not math.isfinite(self.terminal) or self.terminal < 0.0:
-                raise ValueError("terminal must be a finite non-negative position")
-            if self.terminal < last_x:
-                raise ValueError("terminal precedes the last jump")
-            if self.terminal == last_x and last_y > (
-                self.jumps[-2][1] if len(self.jumps) > 1 else 0.0
-            ):
-                raise ValueError("terminal coincides with a mass-carrying jump")
+        _check_terminal(self.jumps, self.terminal)
 
 
-def _check_records(records, label: str) -> None:
-    """Reject (position, value) records unless every entry is finite and
-    non-negative, positions strictly increase and values never decrease."""
+def _check_records(records, label: str) -> list:
+    """The (position, value) records as a list, unless an entry is non-finite
+    or negative, positions do not strictly increase or values decrease; each
+    "jump" must add mass, and a "row" is made floats first where it is not."""
+    checked = []
+    rows = label == "row"
     prev_x = prev_y = -math.inf
     for i, (x, y) in enumerate(records):
+        if rows and not (type(x) is float and type(y) is float):  # ints, Fractions, numeric strings, np.float64
+            x, y = float(x), float(y)
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"non-finite entry at {label} {i}: ({x}, {y})")
         if x < 0.0 or y < 0.0:
             raise ValueError(f"negative entry at {label} {i}: ({x}, {y})")
         if x <= prev_x:
-            raise ValueError(
-                f"positions not increasing at {label} {i}: they must be strictly increasing"
-            )
-        if y < prev_y:
-            raise ValueError(f"values decrease at {label} {i}")
+            raise ValueError(f"positions not increasing at {label} {i}: they must be strictly increasing")
+        if y <= prev_y and (y < prev_y or not rows):
+            raise ValueError(f"values decrease at {label} {i}" if y < prev_y else f"zero mass increment at jump {i}")
+        checked.append((x, y))
         prev_x, prev_y = x, y
+    return checked
+
+
+def _check_terminal(jumps, terminal: Optional[float]) -> None:
+    """Reject a terminal that is not finite and non-negative, lies before the
+    last jump, or sits on a last jump that carries mass."""
+    if terminal is not None:
+        last_x, last_y = jumps[-1]
+        if not math.isfinite(terminal) or terminal < 0.0:
+            raise ValueError("terminal must be a finite non-negative position")
+        if terminal < last_x:
+            raise ValueError("terminal precedes the last jump")
+        if terminal == last_x and last_y > (jumps[-2][1] if len(jumps) > 1 else 0.0):
+            raise ValueError("terminal coincides with a mass-carrying jump")
 
 
 def _canonical_jumps(records: Iterable[Tuple[float, float]]) -> Tuple[Tuple[float, float], ...]:
@@ -94,19 +102,24 @@ def validate_string(
 
     Raises ValueError on non-increasing positions, decreasing values,
     negative or non-finite entries, or a terminal before the last position.
+    Each row is checked once, here: its canonical jumps are not checked again.
     """
-    pairs = [(float(x), float(y)) for x, y in raw]
     if terminal is not None:
         terminal = float(terminal)
-    _check_records(pairs, "row")
-    return DiscreteString(_canonical_jumps(pairs), terminal)
+    jumps = _canonical_jumps(_check_records(raw, "row"))
+    _check_terminal(jumps, terminal)
+    s = object.__new__(DiscreteString)  # skips __post_init__: checked rows give valid jumps
+    object.__setattr__(s, "jumps", jumps)
+    object.__setattr__(s, "terminal", terminal)
+    return s
 
 
 def build_string(
     records: Iterable[Tuple[float, float]], terminal: Optional[float] = None
 ) -> DiscreteString:
-    """Canonical string from records the library computed, in position order."""
-    jumps = _canonical_jumps((float(x), float(y)) for x, y in records)
+    """Canonical string from records the library computed as floats, in
+    position order; ``DiscreteString`` checks the merged jumps once."""
+    jumps = _canonical_jumps(records)
     if terminal is not None and terminal <= jumps[-1][0]:
         terminal = math.nextafter(jumps[-1][0], math.inf)
     return DiscreteString(jumps, terminal)

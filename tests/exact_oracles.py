@@ -1,7 +1,7 @@
 """Exact-rational reference implementations used as independent test oracles.
 
-Everything here but ``char_function_sweep``, ``levels_oracle`` and
-``parse_string_oracle`` runs on stdlib Fractions, so agreement with the float library certifies the float
+Everything here but ``char_function_sweep``, ``levels_oracle``,
+``parse_string_oracle`` and ``validate_string_oracle`` runs on stdlib Fractions, so agreement with the float library certifies the float
 code down to representation error.  The reconstruction oracle mirrors the level-by-level
 recurrences in cumulative form; exactness makes the cancellation questions
 that drive the library's difference-form state irrelevant.
@@ -10,6 +10,10 @@ that drive the library's difference-form state irrelevant.
 ``inversion._levels`` must match bit for bit.  ``parse_string_oracle`` reads
 a string file row by row through the csv module, as the library's
 ``parse_string`` did before it read its own layout a column at a time.
+``validate_string_oracle`` converts every entry to float, checks the rows,
+canonicalizes them and builds the string through ``DiscreteString``, which
+checks the jumps again: the library's ``validate_string`` did so before it
+checked each row once and built the string without a second check.
 """
 
 import csv
@@ -251,3 +255,27 @@ def parse_string_oracle(text: str) -> DiscreteString:
         else:
             pairs.append((x, y))
     return validate_string(pairs, terminal=terminal)
+
+
+def validate_string_oracle(raw, terminal=None) -> DiscreteString:
+    pairs = [(float(x), float(y)) for x, y in raw]
+    if terminal is not None:
+        terminal = float(terminal)
+    prev_x = prev_y = -math.inf
+    for i, (x, y) in enumerate(pairs):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite entry at row {i}: ({x}, {y})")
+        if x < 0.0 or y < 0.0:
+            raise ValueError(f"negative entry at row {i}: ({x}, {y})")
+        if x <= prev_x:
+            raise ValueError(f"positions not increasing at row {i}: they must be strictly increasing")
+        if y < prev_y:
+            raise ValueError(f"values decrease at row {i}")
+        prev_x, prev_y = x, y
+    jumps = [(0.0, 0.0)]  # merge rows at one position, drop those that add no value
+    for x, y in pairs:
+        if x == jumps[-1][0]:
+            jumps[-1] = (x, max(y, jumps[-1][1]))
+        elif y > jumps[-1][1]:
+            jumps.append((x, y))
+    return DiscreteString(tuple(jumps), terminal)

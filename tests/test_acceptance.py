@@ -16,9 +16,9 @@ from exact_oracles import eval_stieltjes_exact
 from kreinstring.continued import krein_fraction
 from kreinstring.evaluate import char_function, eval_fraction
 from kreinstring.families import (
+    REFERENCES,
     bessel_drift_coefficients,
     log_limit_coefficients,
-    reference_mass,
     tanh_coefficients,
 )
 from kreinstring.inversion import invert
@@ -36,8 +36,7 @@ def announce(capsys, number, ok, detail):
         print("criterion %d: %s - %s" % (number, "PASS" if ok else "FAIL", detail))
 
 
-def drift_reference(x):
-    return reference_mass("bm-drift", x)
+drift_reference = REFERENCES["bm-drift"]
 
 
 def drift_family(n):

@@ -11,12 +11,13 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_serialization import string_texts
 
 from kreinstring import cli
 from kreinstring.cli import main
 from kreinstring.evaluate import char_function, eval_fraction, levy_exponent
 from kreinstring.families import FAMILIES, PAPER_PARAMETERS, tanh_coefficients
-from kreinstring.serialization import fmt, parse_coefficients, parse_string, render_coefficients
+from kreinstring.serialization import SchemaError, fmt, parse_coefficients, parse_string, render_coefficients
 
 TANH3 = '{"form":"krein","s":[0,1,3,5]}\n'
 
@@ -596,6 +597,7 @@ FAULTS = {
     "digits-moments": ("coeffs from-moments --in @in", b'{"c":[1,' + b"1" * 5000 + b"]}", 2, "not valid JSON"),
     "neg-inf-terminal": ("dual --in @in", b"x,y\n0,0\n1,1\n2,-inf\n", 1, "non-finite entry at row 2"),
     "overflowing-mass": ("eval --string @in --z -1", b"x,y\n0,0\n1,1e400\n", 1, "non-finite entry at row 1: (1.0, inf)"),
+    "bare-carriage-return": ("eval --string @in --z -1", b"x,y\n0\r,1\n", 2, "not valid CSV"),
     "hat-near-cap-terminal": ("hat --in @in", b"x,y\n0,0\n1,0.5\n2,0.999999999999\n3,1\n", 0,
                               "\n1.2500000000000002,inf\n"),
     "hat-near-cap-merge": ("hat --in @in", b"x,y\n0,0\n1,0.5\n2,0.999999999999\n3,0.9999999999999\n4,1\n", 0,
@@ -633,6 +635,21 @@ def test_range_and_file_faults_end_in_a_documented_exit(argv, content, code, exp
     else:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert expected in err
+
+
+@settings(deadline=None)
+@given(string_texts())
+@example("x,y\n0\r,1\n")
+@example("x,y\r\n0,1\r\n")
+def test_a_string_file_ends_as_its_text_does(text):
+    try:
+        expected = (0, fmt(char_function(parse_string(text), -1.0)) + "\n", "")
+    except SchemaError as exc:
+        expected = (2, "", "error: %s\n" % exc)
+    except (ValueError, OverflowError) as exc:
+        expected = (1, "", "error: %s\n" % exc)
+    got, _ = _run_with_file(["eval", "--string", FILE, "--z", "-1"], text.encode("utf-8"))
+    assert got == expected
 
 
 def _option(flag, values=None):

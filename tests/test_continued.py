@@ -10,11 +10,6 @@ def test_helpers_tag_the_form():
     assert stieltjes_fraction([1.0]).form is Form.STIELTJES
 
 
-def test_order_is_last_index():
-    assert krein_fraction([0.0, 1.0, 3.0]).order == 2
-    assert krein_fraction([2.0]).order == 0
-
-
 def test_leading_coefficient_may_be_zero():
     cf = krein_fraction([0.0, 1.0])
     assert cf.coefficients == (0.0, 1.0)

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from kreinstring.families import reference_mass, tanh_coefficients
+from kreinstring.families import REFERENCES, tanh_coefficients
 from kreinstring.inversion import invert
 from kreinstring.metrics import averaged_error, convergence_study, sup_error
 from kreinstring.strings import DiscreteString
 
 
-def bm_drift(x):
-    return reference_mass("bm-drift", x)
+bm_drift = REFERENCES["bm-drift"]
 
 
 class TestSupError:

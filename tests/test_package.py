@@ -7,6 +7,8 @@ import sys
 import pytest
 
 import kreinstring
+from kreinstring.serialization import parse_string
+from kreinstring.strings import DiscreteString
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(kreinstring.__file__)))
 
@@ -106,3 +108,35 @@ def test_only_cli_main_writes_to_stdout():
     writers = {path.name: _stdout_writers(path) for path in sorted(package.rglob("*.py"))}
     assert {name for name, _ in writers.pop("cli.py")} == {"main"}
     assert writers == {name: [] for name in writers}
+
+
+def _unchecked_builds(path):
+    """(top-level definition, line) of each use of __new__, the one way to build an object without __init__."""
+    return [
+        (getattr(top, "name", None), node.lineno)
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "__new__"
+    ]
+
+
+def test_only_validate_string_skips_the_jump_check():
+    # a string built without __post_init__ must come from rows validate_string checked
+    package = pathlib.Path(kreinstring.__file__).parent
+    builds = {path.name: _unchecked_builds(path) for path in sorted(package.rglob("*.py"))}
+    assert {name for name, _ in builds.pop("strings.py")} == {"validate_string"}
+    assert builds == {name: [] for name in builds}
+
+
+@pytest.mark.parametrize(
+    "text", ["x,y\n0,0.5\n4,1\n5,inf\n", '"x","y"\r\n1,0.5\r\n\r\n4,"1"\r\n'], ids=["columns", "csv-rows"]
+)
+def test_parsing_checks_each_record_once(text, monkeypatch):
+    def refuse(self):
+        raise AssertionError("DiscreteString.__post_init__ ran on a parsed string")
+
+    want = parse_string(text)
+    monkeypatch.setattr(DiscreteString, "__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        DiscreteString(want.jumps, want.terminal)
+    assert parse_string(text) == want

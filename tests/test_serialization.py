@@ -259,7 +259,7 @@ HEADERS = st.sampled_from([" x , y ", "X,Y", "x,y,z", "x", "a,b", '"x","y"', ""]
 def mutations(draw, count):
     """One change to a list of `count` lines, the header first: (line index, kind of change, new text)."""
     i = draw(st.integers(0, count - 1))
-    kind = draw(st.sampled_from(["header", "blank", "space", "x", "y", "quote", "short", "long", "end"]))
+    kind = draw(st.sampled_from(["header", "blank", "space", "x", "y", "zero", "quote", "short", "long", "end"]))
     return i, kind, draw(HEADERS if kind == "header" else ODD_CELLS if kind in "xy" else st.sampled_from(["\r\n", "\r"]))
 
 
@@ -267,10 +267,11 @@ def mutations(draw, count):
 def string_texts(draw):
     """Texts of string files: the layout render_string writes, with up to three changes from a grammar.
 
-    Rows are increasing %.17g or repr doubles, with a terminal row or not.  A
-    change replaces the header, puts in a blank or whitespace-only line, a
-    cell that ends a parse or marks a terminal, a quoted field, a missing or
-    an extra comma, or a \\r\\n or bare \\r line end.
+    Rows are non-decreasing %.17g or repr doubles, so a position may repeat,
+    with a terminal row or not.  A change replaces the header, puts in a blank
+    or whitespace-only line, a cell that ends a parse or marks a terminal, a
+    last cell of 0 (a value that decreases), a quoted field, a missing or an
+    extra comma, or a \\r\\n or bare \\r line end.
     """
     spelling = draw(st.sampled_from(["%.17g", "%r"]))
     steps = draw(st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)), max_size=6))
@@ -292,6 +293,8 @@ def string_texts(draw):
         elif kind in "xy":  # the cell in that column, or a cell of its own on a blank line
             lines[i] = lines[i][:] or [value]
             lines[i][min("xy".index(kind), len(lines[i]) - 1)] = value
+        elif kind == "zero":
+            lines[i] = lines[i][:-1] + ["0"]
         elif kind == "quote":
             lines[i] = ['"%s"' % c for c in lines[i]]
         elif kind == "short":

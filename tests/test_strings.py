@@ -1,8 +1,11 @@
 import math
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given
+from exact_oracles import validate_string_oracle
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kreinstring.strings import DiscreteString, build_string, eval_mass, validate_string
@@ -73,6 +76,11 @@ class TestValidateString:
     def test_terminal_passthrough(self):
         s = validate_string([(0.0, 1.0)], terminal=2.0)
         assert s.terminal == 2.0
+
+    @pytest.mark.parametrize("row", [(0.0,), (0.0, 1.0, 2.0), ()])
+    def test_a_row_that_is_not_a_pair_is_rejected(self, row):
+        with pytest.raises(ValueError):
+            validate_string([(0.0, 1.0), row])
 
 
 class TestBuildString:
@@ -176,3 +184,76 @@ def test_eval_mass_agrees_with_a_linear_scan(rows, past_last, extra):
     terminal = [] if s.terminal is None else [math.nextafter(s.terminal, 0.0), s.terminal, 2.0 * s.terminal]
     for x in at + between + terminal + [math.inf, extra]:
         assert eval_mass(s, x) == scan(x)
+
+
+# how an entry is spelled: as itself, or as another number type that float() reads back to it
+SPELLINGS = {
+    "float": lambda v: v,
+    "int": lambda v: int(v) if v.is_integer() else v,
+    "Fraction": lambda v: Fraction(v) if math.isfinite(v) else v,
+    "str": repr,
+    "np.float64": np.float64,
+}
+STEPS = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 10.0))  # a zero step repeats a position
+BAD = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -5e-324, -0.0])
+
+
+@st.composite
+def faulty_rows(draw):
+    """(rows, terminal): increasing rows with up to two faults and the entries spelled in mixed number types.
+
+    A fault is a non-finite or negative entry, a repeated position or a
+    decreasing value; the terminal is absent, before, on or past the last
+    position, or non-finite or negative itself.
+    """
+    k = draw(st.integers(0, 6))
+    xs = accumulate(draw(st.lists(STEPS, min_size=k, max_size=k)))
+    ys = accumulate(draw(st.lists(STEPS, min_size=k, max_size=k)))
+    rows = [[x, y] for x, y in zip(xs, ys)]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        i = draw(st.integers(0, k - 1))
+        kind = draw(st.sampled_from(["bad", "repeat", "decrease"]))
+        if kind == "bad":
+            rows[i][draw(st.integers(0, 1))] = draw(BAD)
+        elif kind == "repeat" and i:
+            rows[i][0] = rows[i - 1][0]
+        elif i:
+            rows[i][1] = rows[i - 1][1] * draw(st.floats(0.0, 1.0, exclude_max=True))
+    last = rows[-1][0] if rows else 0.0
+    terminal = draw(st.one_of(
+        st.none(),
+        st.floats(5e-324, 10.0).map(lambda d: last - d),
+        st.just(last),
+        st.floats(1e-3, 10.0).map(lambda d: last + d),
+        BAD,
+    ))
+
+    def spell(v):
+        return SPELLINGS[draw(st.sampled_from(sorted(SPELLINGS)))](v)
+
+    rows = [(spell(x), spell(y)) for x, y in rows]
+    return rows, None if terminal is None else spell(terminal)
+
+
+def _outcome(validate, rows, terminal):
+    """repr of the string validate returns (it shows -0.0), or the type and text of its error."""
+    try:
+        return repr(validate(iter(rows), terminal))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(faulty_rows())
+@example(([(0, 1), (Fraction(1, 2), "2"), (np.float64(3.0), Fraction(5, 2))], "3"))
+@example(([(0.0, 1.0), (1.0, 1.0), ("1", 2.0)], None))
+@example(([(0.0, 2.0), (1.0, 1.0)], None))
+@example(([(0.0, 0.0), (1, 1)], 1))
+@example(([(0.0, 0.0), (1.0, 1.0), (2.0, 1.0)], 2.0))
+@example(([(0.0, math.nan)], None))
+def test_rows_are_checked_once_as_by_the_oracle(drawn):
+    rows, terminal = drawn
+    got = _outcome(validate_string, rows, terminal)
+    assert got == _outcome(validate_string_oracle, rows, terminal)
+    if isinstance(got, str):  # the string was built without __post_init__, which must accept it
+        s = validate_string(rows, terminal)
+        assert DiscreteString(s.jumps, s.terminal) == s
