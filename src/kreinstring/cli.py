@@ -78,8 +78,6 @@ def _cmd_invert(args) -> str:
 def _cmd_eval(args) -> str:
     if args.levy != (args.lam is not None):
         raise _UsageError("--levy and --lambda go together")
-    if args.levy and not args.lam > 0.0:
-        raise ValueError("--lambda must be positive")
     if args.coeffs is not None:
         source, evaluate = parse_coefficients(_read(args.coeffs)), eval_fraction
     else:

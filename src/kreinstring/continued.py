@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Iterable, Tuple
 
 
@@ -45,6 +46,20 @@ class ContinuedFraction:
                 raise ValueError(f"s_0 must be >= 0, got {s}")
             if j > 0 and s <= 0.0:
                 raise ValueError(f"s_{j} must be > 0, got {s}")
+
+
+def to_double(j: int, v: int | Fraction) -> float:
+    """The exact coefficient s_j = v as a double.  Raises OverflowError naming
+    s_j and its decade when v is nonzero and lies past the largest double or
+    rounds to 0.0, which for s_0 would mean another string."""
+    try:
+        f = float(v)
+    except OverflowError:  # the exact division exceeds the largest double
+        f = math.inf
+    if (f == 0.0 or math.isinf(f)) and v:
+        decade = math.floor(math.log10(abs(v.numerator)) - math.log10(v.denominator))
+        raise OverflowError("s_%d is about 1e%d, outside double range" % (j, decade))
+    return f
 
 
 def krein_fraction(coefficients: Iterable[float], terminated: bool = False) -> ContinuedFraction:

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import count, islice
+from typing import Iterator
 
 from .continued import ContinuedFraction, Form
 
@@ -42,12 +44,12 @@ def bessel_drift_coefficients(alpha: float, beta: float, c_const: float, n: int)
 
     where (a)_k is the rising factorial.  Certified against an exact-rational
     expansion of the closed form: for alpha = 1/2, beta = 2, gamma = 1 the
-    sequence is the periodic 2, 4, 2, 4, ...  The two ratios are accumulated
-    as running products (each factor is O(1), so nothing overflows even
-    though the factorials themselves would); the only special-function call
-    is the single Gamma(1-alpha).  Raises OverflowError naming the parameters
-    when gamma or a coefficient falls outside double range, or below its
-    normal numbers.
+    sequence is the periodic 2, 4, 2, 4, ...  A generator yields s_0, s_1, ...
+    with the two ratios as running products (each factor is O(1), so nothing
+    overflows even though the factorials would); the only special-function
+    call is the single Gamma(1-alpha).  Raises OverflowError naming the
+    parameters when gamma or a coefficient falls outside double range, or
+    below its normal numbers.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -65,18 +67,16 @@ def bessel_drift_coefficients(alpha: float, beta: float, c_const: float, n: int)
     # a subnormal gamma leaves every coefficient a few digits; an infinite s_0 = beta/gamma is named instead
     if gamma < sys.float_info.min and beta / gamma < math.inf:
         raise OverflowError(f"{formula} = {gamma:.3g} is below the normal double range at {params}")
-    coeffs = []
-    ratio_even = 1.0  # (1-alpha)_j / (1+alpha)_j
-    ratio_odd = 1.0 / (1.0 - alpha)  # (1+alpha)_j / (1-alpha)_{j+1}
-    j = 0
-    while len(coeffs) <= n:
-        coeffs.append(beta / gamma * ratio_even * (2 * j + 1))
-        if len(coeffs) <= n:
-            coeffs.append(2.0 * gamma * ratio_odd)
-        ratio_even *= (1.0 - alpha + j) / (1.0 + alpha + j)
-        ratio_odd *= (1.0 + alpha + j) / (2.0 - alpha + j)
-        j += 1
-    return _fraction_in_double_range(coeffs, params)
+
+    def values():  # s_0, s_1, ...: the pair s_2j, s_2j+1 at each j
+        ratio_even = 1.0  # (1-alpha)_j / (1+alpha)_j
+        ratio_odd = 1.0 / (1.0 - alpha)  # (1+alpha)_j / (1-alpha)_{j+1}
+        for j in count():
+            yield beta / gamma * ratio_even * (2 * j + 1)
+            yield 2.0 * gamma * ratio_odd
+            ratio_even *= (1.0 - alpha + j) / (1.0 + alpha + j)
+            ratio_odd *= (1.0 + alpha + j) / (2.0 - alpha + j)
+    return _fraction_in_double_range(values(), n, params)
 
 
 def log_limit_coefficients(beta: float, n: int) -> ContinuedFraction:
@@ -84,30 +84,29 @@ def log_limit_coefficients(beta: float, n: int) -> ContinuedFraction:
 
     s_{2j} = 2*beta*(2j+1) and s_{2j+1} = 1/(j+1).  The corresponding
     characteristic function is 2 / log(1 - z/beta); the coefficients agree
-    with an exact-rational expansion of that closed form.  Raises
-    OverflowError naming beta when a coefficient leaves double range or
-    falls below its normal numbers.
+    with an exact-rational expansion of that closed form; a generator yields
+    them.  Raises OverflowError naming beta when a coefficient leaves double
+    range or falls below its normal numbers.
     """
     if not 0.0 < beta < math.inf:
         raise ValueError("beta must be finite and positive")
     if n < 0:
         raise ValueError("need n >= 0")
-    coeffs = []
-    j = 0
-    while len(coeffs) <= n:
-        coeffs.append(2.0 * beta * (2 * j + 1))
-        if len(coeffs) <= n:
-            coeffs.append(1.0 / (j + 1))
-        j += 1
-    return _fraction_in_double_range(coeffs, f"beta = {beta:g}")
+
+    def values():  # s_0, s_1, ...: the pair s_2j, s_2j+1 at each j
+        for j in count():
+            yield 2.0 * beta * (2 * j + 1)
+            yield 1.0 / (j + 1)
+    return _fraction_in_double_range(values(), n, f"beta = {beta:g}")
 
 
-def _fraction_in_double_range(coeffs: list, params: str) -> ContinuedFraction:
-    """The KREIN-form fraction of coeffs, every one of which must be a
-    positive normal double; a 0 or an inf is a coefficient the parameters
+def _fraction_in_double_range(values: Iterator[float], n: int, params: str) -> ContinuedFraction:
+    """The KREIN-form fraction of the first n+1 values, each of which must be
+    a positive normal double; a 0 or an inf is a coefficient the parameters
     push out of double range, and a 0 for s_0 would even mean another string.
     A subnormal coefficient keeps only the few digits left below the normal
     range."""
+    coeffs = list(islice(values, n + 1))
     if not (0.0 < min(coeffs) and max(coeffs) < math.inf):
         j = next(j for j, s in enumerate(coeffs) if not 0.0 < s < math.inf)
         raise OverflowError(f"s_{j} is outside double range at {params}")

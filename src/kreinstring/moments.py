@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .continued import ContinuedFraction, Form
+from .continued import ContinuedFraction, Form, to_double
 
 
 def stieltjes_from_moments_exact(moments: Sequence[Fraction]) -> Tuple[List[Fraction], bool]:
@@ -70,22 +70,12 @@ def stieltjes_from_moments_exact(moments: Sequence[Fraction]) -> Tuple[List[Frac
 def coefficients_from_moments(moments: Sequence[Fraction]) -> ContinuedFraction:
     """Float boundary over the exact extraction; Stieltjes form.
 
-    Every exact coefficient is positive.  Raises OverflowError naming s_j when
-    one lies outside double range: too large for a double, or so small that
-    it would round to 0.0.
+    Every exact coefficient is positive; ``to_double`` raises OverflowError
+    naming s_j when one is too large for a double or would round to 0.0.
     """
     exact, terminated = stieltjes_from_moments_exact(moments)
-    coeffs = []
-    for j, v in enumerate(exact):
-        try:
-            f = float(v)
-        except OverflowError:  # the exact division exceeds the largest double
-            f = math.inf
-        if f == 0.0 or math.isinf(f):
-            decade = math.floor(math.log10(v.numerator) - math.log10(v.denominator))
-            raise OverflowError("s_%d is about 1e%d, outside double range" % (j, decade))
-        coeffs.append(f)
-    return ContinuedFraction(Form.STIELTJES, tuple(coeffs), terminated=terminated)
+    coeffs = tuple(to_double(j, v) for j, v in enumerate(exact))
+    return ContinuedFraction(Form.STIELTJES, coeffs, terminated=terminated)
 
 
 @dataclass(frozen=True)

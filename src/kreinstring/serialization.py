@@ -3,7 +3,9 @@
 Writers render numbers with 17 significant digits so a double survives a
 round trip bit-for-bit, and build the JSON text by hand so identical inputs
 give byte-identical files.  Readers accept rationals written as "p/q" strings
-wherever exactness matters.  A string file is CSV: the layout
+wherever exactness matters, and read all rational text through ``_rational``;
+an exact coefficient becomes a double through ``to_double``, as one computed
+from moments does.  A string file is CSV: the layout
 ``render_string`` writes is read a column at a time, and any other text
 (quoted fields, a bare carriage return, a misplaced terminal, an error) goes
 through the csv module row by row, whose errors name the file line.
@@ -15,11 +17,13 @@ import csv
 import io
 import json
 import math
+import re
+import sys
 from fractions import Fraction
 from itertools import repeat
 from typing import List, Optional
 
-from .continued import ContinuedFraction, Form
+from .continued import ContinuedFraction, Form, to_double
 from .metrics import ConvergenceStudy, ErrorReport
 from .strings import DiscreteString, validate_string
 
@@ -46,14 +50,14 @@ def render_coefficients(cf: ContinuedFraction) -> str:
 
 
 def _parse_entry(i: int, v: object) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+    if isinstance(v, float):
+        return v
+    if isinstance(v, bool) or not isinstance(v, (int, str, Fraction)):
         raise SchemaError("\"s\" entry: expected number or 'p/q' string")
     try:
-        return float(Fraction(v) if isinstance(v, str) else v)
+        return to_double(i, _rational(v) if isinstance(v, str) else v)
     except (ValueError, ZeroDivisionError):
         raise SchemaError('"s" entry: cannot parse %r as a rational' % (v,))
-    except OverflowError:  # an integer or a rational past double range
-        raise OverflowError("s_%d is too large for a double" % i)
 
 
 def _parse_entries(s: list) -> tuple:
@@ -65,9 +69,30 @@ def _parse_entries(s: list) -> tuple:
     return tuple(_parse_entry(i, v) for i, v in enumerate(s))
 
 
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+
+
+def _rational(text: str) -> Fraction:
+    """Fraction(text) of "p/q" or decimal text.  An exponent past Python's
+    bound on the digits of integer text is refused, as a longer integer is:
+    Fraction would build 10**exponent, in time that grows with it."""
+    exponent = _EXPONENT.search(text)
+    limit = sys.get_int_max_str_digits()
+    if exponent is not None and 0 < limit < abs(int(exponent[1])):
+        raise SchemaError("the exponent of %r is past %d, the limit on integer digits" % (text, limit))
+    return Fraction(text)
+
+
+def _json_float(text: str) -> object:
+    """A JSON number with a fraction or an exponent, as a float; one that is
+    nonzero but rounds to 0.0 stays exact, so that the reader names it."""
+    f = float(text)
+    return f if f != 0.0 else _rational(text) or f  # an exact zero stays the float, -0.0 too
+
+
 def _load_json(text: str, what: str) -> object:
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=_json_float)
     except ValueError as exc:  # JSONDecodeError, or an integer past int_max_str_digits
         raise SchemaError("%s file is not valid JSON: %s" % (what, exc))
     except RecursionError:
@@ -103,7 +128,7 @@ def parse_moments(text: str) -> List[Fraction]:
         if isinstance(v, bool) or not isinstance(v, (int, str)):
             raise SchemaError('"c" entries must be integers or "p/q" strings')
         try:
-            out.append(Fraction(v))
+            out.append(_rational(v) if isinstance(v, str) else Fraction(v))
         except (ValueError, ZeroDivisionError):
             raise SchemaError('cannot parse moment %r as a rational' % (v,))
     return out
@@ -168,6 +193,8 @@ def _rows(text: str):
     try:
         rows = [(reader.line_num, r) for r in reader if r]  # numbered as in the file, blank lines too
     except csv.Error as exc:
+        if str(exc).startswith("new-line character"):  # the only newline a StringIO line holds is a bare \r
+            raise SchemaError("line %d: carriage return not followed by a line feed" % reader.line_num)
         raise SchemaError("string file is not valid CSV: %s" % exc)
     if not rows or [c.strip() for c in rows[0][1]] != ["x", "y"]:
         raise SchemaError('string file must start with header "x,y"')

@@ -1,7 +1,8 @@
 """Exact-rational reference implementations used as independent test oracles.
 
 Everything here but ``char_function_sweep``, ``levels_oracle``,
-``parse_string_oracle`` and ``validate_string_oracle`` runs on stdlib Fractions, so agreement with the float library certifies the float
+``parse_string_oracle``, ``validate_string_oracle``, ``bessel_drift_oracle``
+and ``log_limit_oracle`` runs on stdlib Fractions, so agreement with the float library certifies the float
 code down to representation error.  The reconstruction oracle mirrors the level-by-level
 recurrences in cumulative form; exactness makes the cancellation questions
 that drive the library's difference-form state irrelevant.
@@ -14,15 +15,21 @@ a string file row by row through the csv module, as the library's
 canonicalizes them and builds the string through ``DiscreteString``, which
 checks the jumps again: the library's ``validate_string`` did so before it
 checked each row once and built the string without a second check.
+``bessel_drift_oracle`` and ``log_limit_oracle`` build each family's
+coefficients in a loop that appends them to a list and checks the list, as
+the library's builders did before each stated its formula as a generator; the
+builders must give the same fraction or the same error.
 """
 
 import csv
 import io
 import math
+import sys
 from fractions import Fraction
 from math import factorial
 from typing import List, Optional, Sequence, Tuple
 
+from kreinstring.continued import ContinuedFraction, Form
 from kreinstring.serialization import SchemaError
 from kreinstring.strings import DiscreteString, validate_string
 
@@ -235,6 +242,8 @@ def parse_string_oracle(text: str) -> DiscreteString:
     try:
         rows = [(reader.line_num, r) for r in reader if r]  # numbered as in the file, blank lines too
     except csv.Error as exc:
+        if str(exc).startswith("new-line character"):  # the only newline a StringIO line holds is a bare \r
+            raise SchemaError("line %d: carriage return not followed by a line feed" % reader.line_num)
         raise SchemaError("string file is not valid CSV: %s" % exc)
     if not rows or [c.strip() for c in rows[0][1]] != ["x", "y"]:
         raise SchemaError('string file must start with header "x,y"')
@@ -279,3 +288,59 @@ def validate_string_oracle(raw, terminal=None) -> DiscreteString:
         elif y > jumps[-1][1]:
             jumps.append((x, y))
     return DiscreteString(tuple(jumps), terminal)
+
+
+def bessel_drift_oracle(alpha: float, beta: float, c_const: float, n: int) -> ContinuedFraction:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    if not 0.0 < beta < math.inf:
+        raise ValueError("beta must be finite and positive")
+    if not 0.0 < c_const < math.inf:
+        raise ValueError("the constant must be finite and positive")
+    if n < 0:
+        raise ValueError("need n >= 0")
+    params = f"alpha = {alpha:g}, beta = {beta:g}, c_const = {c_const:g}"
+    gamma = c_const * math.gamma(1.0 - alpha) * beta**alpha
+    formula = "gamma = c_const * Gamma(1-alpha) * beta**alpha"
+    if not 0.0 < gamma < math.inf:
+        raise OverflowError(f"{formula} is outside double range at {params}")
+    # a subnormal gamma leaves every coefficient a few digits; an infinite s_0 = beta/gamma is named instead
+    if gamma < sys.float_info.min and beta / gamma < math.inf:
+        raise OverflowError(f"{formula} = {gamma:.3g} is below the normal double range at {params}")
+    coeffs = []
+    ratio_even = 1.0  # (1-alpha)_j / (1+alpha)_j
+    ratio_odd = 1.0 / (1.0 - alpha)  # (1+alpha)_j / (1-alpha)_{j+1}
+    j = 0
+    while len(coeffs) <= n:
+        coeffs.append(beta / gamma * ratio_even * (2 * j + 1))
+        if len(coeffs) <= n:
+            coeffs.append(2.0 * gamma * ratio_odd)
+        ratio_even *= (1.0 - alpha + j) / (1.0 + alpha + j)
+        ratio_odd *= (1.0 + alpha + j) / (2.0 - alpha + j)
+        j += 1
+    return _fraction_in_double_range(coeffs, params)
+
+
+def log_limit_oracle(beta: float, n: int) -> ContinuedFraction:
+    if not 0.0 < beta < math.inf:
+        raise ValueError("beta must be finite and positive")
+    if n < 0:
+        raise ValueError("need n >= 0")
+    coeffs = []
+    j = 0
+    while len(coeffs) <= n:
+        coeffs.append(2.0 * beta * (2 * j + 1))
+        if len(coeffs) <= n:
+            coeffs.append(1.0 / (j + 1))
+        j += 1
+    return _fraction_in_double_range(coeffs, f"beta = {beta:g}")
+
+
+def _fraction_in_double_range(coeffs: list, params: str) -> ContinuedFraction:
+    if not (0.0 < min(coeffs) and max(coeffs) < math.inf):
+        j = next(j for j, s in enumerate(coeffs) if not 0.0 < s < math.inf)
+        raise OverflowError(f"s_{j} is outside double range at {params}")
+    if min(coeffs) < sys.float_info.min:
+        j = next(j for j, s in enumerate(coeffs) if s < sys.float_info.min)
+        raise OverflowError(f"s_{j} = {coeffs[j]:.3g} is below the normal double range at {params}")
+    return ContinuedFraction(Form.KREIN, tuple(coeffs))

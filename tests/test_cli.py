@@ -99,6 +99,12 @@ class TestInvert:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("lead", ["0", "0.0", '"0/7"', "-0.0"])
+    def test_an_exact_zero_lead_is_a_zero(self, capsys, tmp_path, lead):
+        path = tmp_path / "c.json"
+        path.write_text('{"form":"krein","s":[%s,1,2]}' % lead)
+        assert run(capsys, "invert", "--in", str(path)) == (0, "x,y\n0,0.5\n1,inf\n", "")
+
     def test_malformed_json_is_a_schema_failure(self, capsys, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{nope")
@@ -209,6 +215,14 @@ class TestTransforms:
         assert main(["dual", "--in", str(first), "--out", str(second)]) == 0
         # the double dual reproduces the canonicalized source exactly
         assert parse_string(second.read_text()).jumps == parse_string(src.read_text()).jumps
+
+    def test_dual_of_the_massless_string_has_its_terminal_at_zero(self, capsys, tmp_path):
+        massless, dualled = tmp_path / "m.csv", tmp_path / "d.csv"
+        massless.write_text("x,y\n")
+        assert run(capsys, "dual", "--in", str(massless), "--out", str(dualled)) == (0, "", "")
+        assert dualled.read_text() == "x,y\n0,0\n0,inf\n"
+        assert run(capsys, "dual", "--in", str(dualled)) == (0, "x,y\n0,0\n", "")
+        assert run(capsys, "eval", "--string", str(dualled), "--z", "-1") == (0, "0\n", "")
 
     def test_hat_removes_the_zero_atom(self, capsys, tmp_path):
         path = tmp_path / "s.csv"
@@ -546,8 +560,21 @@ FAULTS = {
     "huge-moment": ("coeffs from-moments --in @in", b'{"c":[1,"1/1' + ZEROS + b'"]}', 1, "s_1 is about 1e400"),
     "levy-coeffs-zero": ("eval --coeffs @in --levy --lambda 1", b'{"form":"krein","s":[0]}', 0, "inf"),
     "levy-string-zero": ("eval --string @in --levy --lambda 1", b"x,y\n0,inf\n", 0, "inf"),
-    "long-integer": ("invert --in @in", b'{"form":"krein","s":[1,1' + ZEROS + b"]}", 1, "too large"),
-    "long-rational": ("eval --coeffs @in --z -1", b'{"form":"krein","s":["1' + ZEROS + b'/3"]}', 1, "too large"),
+    "levy-lambda-zero": ("eval --coeffs @in --levy --lambda 0", TANH3.encode(), 1, "lambda must be positive"),
+    "levy-lambda-negative": ("eval --coeffs @in --levy --lambda -1", TANH3.encode(), 1, "lambda must be positive"),
+    "levy-lambda-nan": ("eval --string @in --levy --lambda nan", b"x,y\n0,1\n", 1, "lambda must be positive"),
+    "long-integer": ("invert --in @in", b'{"form":"krein","s":[1,1' + ZEROS + b"]}", 1,
+                     "s_1 is about 1e400, outside double range"),
+    "long-rational": ("eval --coeffs @in --z -1", b'{"form":"krein","s":["1' + ZEROS + b'/3"]}', 1,
+                      "s_0 is about 1e399, outside double range"),
+    "tiny-entry-text": ("invert --in @in", b'{"form":"krein","s":["1e-400",1,2]}', 1,
+                        "s_0 is about 1e-400, outside double range"),
+    "tiny-entry-number": ("eval --coeffs @in --z -1", b'{"form":"krein","s":[1e-400,1,2]}', 1,
+                          "s_0 is about 1e-400, outside double range"),
+    "huge-exponent-coeffs": ("invert --in @in", b'{"form":"krein","s":["1e-99999999999"]}', 2,
+                             "the exponent of '1e-99999999999' is past 4300"),
+    "huge-exponent-moments": ("coeffs from-moments --in @in", b'{"c":["1e99999999999"]}', 2,
+                              "the exponent of '1e99999999999' is past 4300"),
     "nested-coeffs": ("invert --in @in", b"[" * 100000 + b"]" * 100000, 2, "nested too deeply"),
     "nested-moments": ("coeffs from-moments --in @in", b'{"c":' * 100000 + b"}" * 100000, 2, "nested too deeply"),
     "not-utf8": ("invert --in @in", b'{"form":"krein","s":[1,\xff]}', 2, "not UTF-8"),
@@ -597,7 +624,8 @@ FAULTS = {
     "digits-moments": ("coeffs from-moments --in @in", b'{"c":[1,' + b"1" * 5000 + b"]}", 2, "not valid JSON"),
     "neg-inf-terminal": ("dual --in @in", b"x,y\n0,0\n1,1\n2,-inf\n", 1, "non-finite entry at row 2"),
     "overflowing-mass": ("eval --string @in --z -1", b"x,y\n0,0\n1,1e400\n", 1, "non-finite entry at row 1: (1.0, inf)"),
-    "bare-carriage-return": ("eval --string @in --z -1", b"x,y\n0\r,1\n", 2, "not valid CSV"),
+    "bare-carriage-return": ("eval --string @in --z -1", b"x,y\n0\r,1\n", 2,
+                             "line 2: carriage return not followed by a line feed"),
     "hat-near-cap-terminal": ("hat --in @in", b"x,y\n0,0\n1,0.5\n2,0.999999999999\n3,1\n", 0,
                               "\n1.2500000000000002,inf\n"),
     "hat-near-cap-merge": ("hat --in @in", b"x,y\n0,0\n1,0.5\n2,0.999999999999\n3,0.9999999999999\n4,1\n", 0,

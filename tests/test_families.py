@@ -2,8 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from exact_oracles import drift_family_moments
+from exact_oracles import bessel_drift_oracle, drift_family_moments, log_limit_oracle
 from kreinstring.evaluate import eval_fraction
 from kreinstring.families import (
     FAMILIES,
@@ -147,6 +149,16 @@ class TestLogLimit:
         assert worst[1e-3] <= 1e-2
         assert worst[1e-3] < worst[1e-2]
 
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-9])
+    def test_tiny_alpha_is_within_ten_alpha_of_the_limit(self, alpha):
+        """The gap is about 7.6 alpha: the expansion of the drift family is
+        first order in alpha, so it shrinks with alpha all the way down."""
+        beta = 2.0
+        c_const = 0.5 / (math.gamma(1.0 - alpha) * beta**alpha)
+        got = bessel_drift_coefficients(alpha, beta, c_const, 50).coefficients
+        want = log_limit_coefficients(beta, 50).coefficients
+        assert max(abs(g - w) / w for g, w in zip(got, want)) <= 10.0 * alpha
+
     def test_parameter_validation(self):
         for beta in (-2.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="beta"):
@@ -161,6 +173,42 @@ class TestLogLimit:
             log_limit_coefficients(3e307, 5)
         with pytest.raises(OverflowError, match="s_0 = 2e-320 is below the normal double range at beta = 9.99989e-321"):
             log_limit_coefficients(1e-320, 3)
+
+
+def _outcome(build, *args):
+    """The fraction build returns, or the type and text of its error."""
+    try:
+        return build(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+DECADES = st.floats(-320.0, 308.0).map(lambda e: 10.0**e)  # log-uniform from 1e-320 to 1e308
+
+
+class TestGeneratorsAgainstTheLoops:
+    """Each builder states its formula as a generator; the oracles append
+    the same float operations to a list in a loop."""
+
+    @settings(deadline=None)
+    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), DECADES, DECADES, st.integers(0, 600))
+    @example(0.5, 2.0, HEADLINE_C, 4095)
+    @example(0.5, 2.0, HEADLINE_C, 0)
+    @example(0.5, 2.0, HEADLINE_C, 1)
+    @example(0.5, 2.0, HEADLINE_C, 2)
+    @example(0.01, 1e-320, 1e-320, 20)
+    def test_bessel_drift(self, alpha, beta, c_const, n):
+        got = _outcome(bessel_drift_coefficients, alpha, beta, c_const, n)
+        assert got == _outcome(bessel_drift_oracle, alpha, beta, c_const, n)
+
+    @settings(deadline=None)
+    @given(DECADES, st.integers(0, 600))
+    @example(2.0, 4000)
+    @example(2.0, 0)
+    @example(2.0, 1)
+    @example(2.0, 2)
+    def test_log_limit(self, beta, n):
+        assert _outcome(log_limit_coefficients, beta, n) == _outcome(log_limit_oracle, beta, n)
 
 
 class TestReferenceMass:

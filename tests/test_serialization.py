@@ -141,15 +141,34 @@ class TestCoefficients:
     @pytest.mark.parametrize(
         "entries, message",
         [
-            ("1,1" + "0" * 400, "s_1 is too large for a double"),
-            ('"1' + "0" * 400 + '/3"', "s_0 is too large for a double"),
-            ('2,"1/3",1' + "0" * 400, "s_2 is too large for a double"),
-            ("1" + "0" * 400 + ",true", "s_0 is too large for a double"),
+            ("1,1" + "0" * 400, "s_1 is about 1e400, outside double range"),
+            ('"1' + "0" * 400 + '/3"', "s_0 is about 1e399, outside double range"),
+            ('2,"1/3",1' + "0" * 400, "s_2 is about 1e400, outside double range"),
+            ("1" + "0" * 400 + ",true", "s_0 is about 1e400, outside double range"),
+            ('"1e-400",1,2', "s_0 is about 1e-400, outside double range"),
+            ("1e-400,1,2", "s_0 is about 1e-400, outside double range"),
+            ('1,"-1/3' + "0" * 400 + '"', "s_1 is about 1e-401, outside double range"),
         ],
     )
     def test_an_entry_past_double_range_is_named(self, entries, message):
         with pytest.raises(OverflowError, match="^%s$" % message):
             parse_coefficients('{"form":"krein","s":[%s]}' % entries)
+
+    @given(*[st.integers(0, 400).flatmap(lambda k: st.integers(1, 10**k))] * 2)
+    @example(1, 10**400)
+    @example(10**400, 1)
+    def test_a_nonzero_rational_entry_is_never_read_as_zero(self, p, q):
+        try:
+            got = serialization._parse_entry(0, "%d/%d" % (p, q))
+        except OverflowError as exc:
+            assert str(exc).endswith(", outside double range")
+        else:
+            assert got == p / q != 0.0
+
+    @pytest.mark.parametrize("entry", ['"1e-99999999999"', '"1E+4301"', "1e-99999999999", '"-0.5e-4301"'])
+    def test_an_exponent_past_the_integer_digit_limit_is_refused(self, entry):
+        with pytest.raises(SchemaError, match="^the exponent of '.*' is past 4300, the limit on integer digits$"):
+            parse_coefficients('{"form":"krein","s":[%s]}' % entry)
 
     @given(st.lists(st.one_of(st.integers(), st.integers(10**307, 10**309), st.floats(), st.booleans(),
                               st.sampled_from(["1/3", "1" + "0" * 400 + "/3", "abc", None]))))
