@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 precondition violation (bad flags or values, or a
 result outside double range), 2 malformed or unreadable input files.  Errors
-are one line on stderr.  All numeric output uses 17 significant digits;
-writers are deterministic, so identical inputs give identical files.
+are one line on stderr.  All numbers carry 17 significant digits; on one numpy
+build and one CPU dispatch, identical inputs give byte-identical files.
 Each ``_cmd_*`` handler returns its command's text, and ``main`` alone writes it.
 """
 
@@ -35,10 +35,6 @@ from .serialization import (
 from .transforms import dual, remove_zero_atom
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
@@ -47,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?)$", re.I)
 
     def error(self, message: str) -> None:  # exit code 1, not argparse's 2
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _read(path: str) -> str:
@@ -77,7 +73,7 @@ def _cmd_invert(args) -> str:
 
 def _cmd_eval(args) -> str:
     if args.levy != (args.lam is not None):
-        raise _UsageError("--levy and --lambda go together")
+        raise ValueError("--levy and --lambda go together")
     if args.coeffs is not None:
         source, evaluate = parse_coefficients(_read(args.coeffs)), eval_fraction
     else:
@@ -103,7 +99,7 @@ def _cmd_study(args) -> str:
     build, params = FAMILIES[args.family]
     foreign = [_flag(p) for p in PAPER_PARAMETERS if p not in params and getattr(args, p) is not None]
     if foreign:
-        raise _UsageError("--family %s takes no %s" % (args.family, ", ".join(foreign)))
+        raise ValueError("--family %s takes no %s" % (args.family, ", ".join(foreign)))
     fixed = [PAPER_PARAMETERS[p] if getattr(args, p) is None else getattr(args, p) for p in params]
     try:
         ns = [int(t) for t in args.n_list.split(",")]
@@ -189,6 +185,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (SchemaError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (_UsageError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

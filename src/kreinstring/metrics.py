@@ -5,14 +5,14 @@ reconstruction is exact in the large-x limit by construction, so a uniform
 grid would mostly sample plateaus).  ``averaged_error`` replaces the jump
 value by the midpoint of the two adjacent plateau heights, which empirically
 gains one order of convergence.  Both are one plain-Python loop over the jumps;
-numpy serves only the least-squares slope of ``convergence_study``.
+``convergence_study`` fits its slope from ``math.fsum`` sums, without numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from .continued import ContinuedFraction
 from .inversion import invert
@@ -103,9 +103,7 @@ def convergence_study(
         if not 0.0 < report.value < math.inf:
             raise ValueError("cannot fit a slope: the error at n=%d is %s" % (n, report.value))
         entries.append((int(n), report.value))
-    import numpy as np  # the least-squares fit is the only array work here
-
-    ns = np.array([n for n, _ in entries], dtype=float)
-    errs = np.array([e for _, e in entries], dtype=float)
-    slope = float(np.polyfit(np.log(ns), np.log(errs), 1)[0])
+    xs, ys = [math.log(n) for n, _ in entries], [math.log(e) for _, e in entries]
+    x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)  # centred sums: no cancellation
+    slope = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) / math.fsum((x - x_mean) ** 2 for x in xs)
     return ConvergenceStudy("averaged" if averaged else "sup", window, tuple(entries), slope)

@@ -33,11 +33,8 @@ class SchemaError(Exception):
 
 
 def fmt(v: float) -> str:
-    """17 significant digits (round-trips a double, not the shortest form); 'inf' for the terminal."""
-    v = float(v)
-    if v == 0.0:
-        v = 0.0  # normalize -0.0
-    return format(v, ".17g")
+    """17 significant digits, as the bulk writers inline it; + 0.0 turns -0.0 into 0, 'inf' stays."""
+    return "%.17g" % (v + 0.0)
 
 
 # -- coefficients ------------------------------------------------------------
@@ -57,7 +54,7 @@ def _parse_entry(i: int, v: object) -> float:
     try:
         return to_double(i, _rational(v) if isinstance(v, str) else v)
     except (ValueError, ZeroDivisionError):
-        raise SchemaError('"s" entry: cannot parse %r as a rational' % (v,))
+        raise SchemaError('"s" entry: cannot parse %s as a rational' % _quoted(v))
 
 
 def _parse_entries(s: list) -> tuple:
@@ -67,6 +64,13 @@ def _parse_entries(s: list) -> tuple:
         except OverflowError:
             pass  # the entry-by-entry path names the entry
     return tuple(_parse_entry(i, v) for i, v in enumerate(s))
+
+
+def _quoted(entry: object) -> str:
+    """The repr of a rejected entry; a string past 40 characters gives its first 40 and its length."""
+    if isinstance(entry, str) and len(entry) > 40:
+        return "%r... (%d characters)" % (entry[:40], len(entry))
+    return repr(entry)
 
 
 _EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
@@ -79,15 +83,15 @@ def _rational(text: str) -> Fraction:
     exponent = _EXPONENT.search(text)
     limit = sys.get_int_max_str_digits()
     if exponent is not None and 0 < limit < abs(int(exponent[1])):
-        raise SchemaError("the exponent of %r is past %d, the limit on integer digits" % (text, limit))
+        raise SchemaError("the exponent of %s is past %d, the limit on integer digits" % (_quoted(text), limit))
     return Fraction(text)
 
 
 def _json_float(text: str) -> object:
     """A JSON number with a fraction or an exponent, as a float; one that is
-    nonzero but rounds to 0.0 stays exact, so that the reader names it."""
+    nonzero but rounds to 0.0 or overflows stays exact, so that to_double names it."""
     f = float(text)
-    return f if f != 0.0 else _rational(text) or f  # an exact zero stays the float, -0.0 too
+    return f if 0.0 < abs(f) < math.inf else _rational(text) or f  # an exact zero stays the float, -0.0 too
 
 
 def _load_json(text: str, what: str) -> object:
@@ -130,7 +134,7 @@ def parse_moments(text: str) -> List[Fraction]:
         try:
             out.append(_rational(v) if isinstance(v, str) else Fraction(v))
         except (ValueError, ZeroDivisionError):
-            raise SchemaError('cannot parse moment %r as a rational' % (v,))
+            raise SchemaError("cannot parse moment %s as a rational" % _quoted(v))
     return out
 
 
@@ -139,7 +143,7 @@ def parse_moments(text: str) -> List[Fraction]:
 
 def render_string(s: DiscreteString) -> str:
     lines = ["x,y"]
-    lines += ["%.17g,%.17g" % (x + 0.0, y + 0.0) for x, y in s.jumps]  # fmt; + 0.0 turns -0.0 into 0
+    lines += ["%.17g,%.17g" % (x + 0.0, y + 0.0) for x, y in s.jumps]  # fmt, per record
     if s.terminal is not None:
         lines.append("%s,inf" % fmt(s.terminal))
     return "\n".join(lines) + "\n"

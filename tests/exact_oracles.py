@@ -344,3 +344,10 @@ def _fraction_in_double_range(coeffs: list, params: str) -> ContinuedFraction:
         j = next(j for j, s in enumerate(coeffs) if s < sys.float_info.min)
         raise OverflowError(f"s_{j} = {coeffs[j]:.3g} is below the normal double range at {params}")
     return ContinuedFraction(Form.KREIN, tuple(coeffs))
+
+
+def least_squares_slope_exact(xs: Sequence[float], ys: Sequence[float]) -> Fraction:
+    """The ordinary least-squares slope of ys against xs, in exact arithmetic on the given doubles."""
+    xs, ys = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    return sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) / sum((x - x_mean) ** 2 for x in xs)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from kreinstring.families import REFERENCES, tanh_coefficients
+from exact_oracles import least_squares_slope_exact
+from kreinstring.families import FAMILIES, PAPER_PARAMETERS, REFERENCES, tanh_coefficients
 from kreinstring.inversion import invert
 from kreinstring.metrics import averaged_error, convergence_study, sup_error
 from kreinstring.strings import DiscreteString
@@ -173,6 +174,20 @@ class TestConvergenceStudy:
         avg = convergence_study(tanh_coefficients, ns, lambda x: x, 0.9, averaged=True)
         assert avg.slope < sup.slope
         assert avg.metric == "averaged"
+
+    @pytest.mark.parametrize("averaged", [False, True], ids=["raw", "averaged"])
+    @pytest.mark.parametrize(
+        "ns", [(63, 127, 255, 511, 1023), (63, 127, 255, 511, 1023, 2047, 4095)], ids=["readme", "drift-orders"]
+    )
+    def test_slope_is_within_an_ulp_of_the_exact_fit(self, ns, averaged):
+        # the orders of README's study and of the drift-orders benchmark, at the paper's parameters
+        build, params = FAMILIES["bessel-drift"]
+        family = lambda n: build(*[PAPER_PARAMETERS[p] for p in params], n)
+        study = convergence_study(family, ns, bm_drift, 5.0, averaged=averaged)
+        exact = float(least_squares_slope_exact(
+            [math.log(n) for n, _ in study.entries], [math.log(e) for _, e in study.entries]
+        ))
+        assert abs(study.slope - exact) <= math.ulp(exact)
 
     def test_rejects_short_or_unsorted_orders(self):
         with pytest.raises(ValueError, match="at least three"):

@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import os
 import pathlib
 import subprocess
@@ -7,6 +9,7 @@ import sys
 import pytest
 
 import kreinstring
+from kreinstring.cli import main
 from kreinstring.serialization import parse_string
 from kreinstring.strings import DiscreteString
 
@@ -50,19 +53,26 @@ WITHOUT_NUMPY = {
 }
 
 
-def fresh_python(code, *argv, cwd=None):
-    """Run code with argv in a fresh interpreter that imports the package from SRC."""
+def child_python(*args, cwd=None, text=True):
+    """Run the interpreter with args in a fresh process that imports the package from SRC."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", code, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
-    )
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=text, timeout=60)
+
+
+def fresh_python(code, *argv, cwd=None):
+    """Run code with argv in a fresh interpreter; it must exit 0."""
+    done = child_python("-c", code, *argv, cwd=cwd)
     assert done.returncode == 0, done.stderr
     return done
 
 
-def numpy_loaded_after(argv, tmp_path):
+def write_files(directory):
     for name, text in FILES.items():
-        (tmp_path / name).write_text(text)
+        (directory / name).write_text(text)
+
+
+def numpy_loaded_after(argv, tmp_path):
+    write_files(tmp_path)
     done = fresh_python(PROBE, *argv, cwd=tmp_path)
     return done.stderr.splitlines()[-1] == "numpy loaded: True"
 
@@ -108,6 +118,41 @@ def test_only_cli_main_writes_to_stdout():
     writers = {path.name: _stdout_writers(path) for path in sorted(package.rglob("*.py"))}
     assert {name for name, _ in writers.pop("cli.py")} == {"main"}
     assert writers == {name: [] for name in writers}
+
+
+def _imports_numpy(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "numpy":
+            return True
+    return False
+
+
+def test_only_inversion_imports_numpy():
+    # numpy serves the level loop of ``invert`` alone; every other module is plain Python
+    package = pathlib.Path(kreinstring.__file__).parent
+    assert [path.name for path in sorted(package.rglob("*.py")) if _imports_numpy(path)] == ["inversion.py"]
+
+
+# one command per exit code, with the files above
+MODULE_RUNS = {
+    "exit-0": (["invert", "--in", "c.json"], 0),
+    "exit-1": (["eval", "--coeffs", "c.json"], 1),  # no point to evaluate at
+    "exit-2": (["invert", "--in", "missing.json"], 2),
+}
+
+
+@pytest.mark.parametrize("argv, code", list(MODULE_RUNS.values()), ids=list(MODULE_RUNS))
+def test_python_m_kreinstring_exits_as_main_returns(argv, code, tmp_path, monkeypatch):
+    # __main__.py in dev mode, where any warning the real process raises is an error
+    write_files(tmp_path)
+    done = child_python("-X", "dev", "-W", "error", "-m", "kreinstring", *argv, cwd=tmp_path, text=False)
+    monkeypatch.chdir(tmp_path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == code
+    assert (done.returncode, done.stdout, done.stderr) == (code, out.getvalue().encode(), err.getvalue().encode())
 
 
 def _unchecked_builds(path):
