@@ -18,8 +18,8 @@ not a defect.  Their logarithms are ordinary doubles on every host.
 Difference form keeps relative precision.  Cumulative values saturate toward
 1/c within a level, and differencing them would zero out every mass below
 the rounding threshold.  Updates of gaps and masses are products and
-quotients, sums of logs here.  A value v held as its logarithm has relative
-error about eps*|ln v|, about 1e-14 where values span 1e+-100.
+quotients, sums of logs here.  Each level rounds its logs to about eps times
+their size, so the error of a record grows with n (``invert`` states a bound).
 
 The one sum a level needs is log f = log(1 + c x) at every position x, the
 prefix sums of exp(a) with a = [0, log(c * gap), ...].  Every level but the
@@ -47,9 +47,8 @@ its numbers: its views into the buffers depend on the parity of the level
 alone, which also sets the roles of the two mass buffers.  So two view sets,
 built the first time a level reaches the cut, serve every cut level.  The
 ufuncs are looked up and the coefficient logs taken once per pass, outputs
-go positionally and scalars are read as floats, so a cut level of
-Bessel-drift order 4095 costs about 7 us, 1 us more than its eight calls
-alone.
+go positionally and scalars are read as floats, so a cut level costs little
+more than its eight calls.
 
 The string ends at the plateau 1/s_0: at its first record whose value is
 1/s_0, else at its last record.  With s_0 = 0 the plateau 1/s_0 = inf is the
@@ -67,9 +66,9 @@ by 1.1e-13 and this one by 1e-16.  Where log f is below the normal range
 (always when s_0 = 0) the first formula keeps no digits at all.
 ``strings.build_string`` merges records whose positions round to one double.
 The records after the first one at 1/s_0 add no value and are dropped,
-however far out they lie.  A string whose values still fall short of 1/s_0
-past ``_LUMP_BOUND`` does not fit in doubles; its remaining mass is not
-folded inward.
+however far out they lie.  Every position up to the end must fit in doubles,
+whatever s_0 is: a string whose values fall short of 1/s_0 past the largest
+double is refused, its remaining mass not folded inward.
 """
 
 from __future__ import annotations
@@ -80,10 +79,8 @@ import sys
 from .continued import ContinuedFraction, Form
 from .strings import DiscreteString, build_string
 
-# A string with s_0 > 0 must reach 1/s_0 by this position; keeps the
-# materialized string inside double range with headroom for transforms.
-_LUMP_BOUND = 1e305
-# A string with s_0 = 0 must fit in doubles, its positions and values alike.
+# Every position up to the end of a string, and for s_0 = 0 every value, must
+# fit in doubles.
 _LOG_MAX = math.log(sys.float_info.max)
 # While s_0 > 0 the levels first run cut to this many entries (at least 4).
 _CAP = 256
@@ -95,14 +92,15 @@ def invert(cf: ContinuedFraction) -> DiscreteString:
     The reconstruction has about n/2 point masses for n+1 coefficients and
     ends at the plateau 1/s_0.  When s_0 > 0 the last value is exactly 1/s_0;
     when s_0 = 0 the plateau is 1/s_0 = inf and its position is the terminal.
-    Positions and values agree with exact arithmetic to a relative error of
-    about eps*|ln v| for a value v, also where s_0 v is below the normal range.
+    Positions, values and the terminal agree with exact arithmetic to a
+    relative error below n*eps*max(1, Lambda), Lambda the largest |ln| of a
+    coefficient, gap, mass or position at any level (measured, not proven:
+    README), also where s_0 v is below the normal range.
     Rejects s_0 = 0 with n = 0 (the zero function is the characteristic
     function of no string).
 
-    Raises OverflowError when 1/s_0, or for s_0 = 0 a position or a value of
-    the string, lies outside double range, and for s_0 > 0 when the values
-    have not reached 1/s_0 by position 1e305.
+    Raises OverflowError when 1/s_0, a position up to the end of the string,
+    or for s_0 = 0 a value, lies outside double range.
     """
     if cf.form is not Form.KREIN:
         raise ValueError("inversion expects KREIN-form coefficients")
@@ -119,9 +117,9 @@ def invert(cf: ContinuedFraction) -> DiscreteString:
 
     c = s[0]
     lc = math.log(c) if c > 0.0 else -math.inf
-    plateau, bound = (1.0 / c, math.log(_LUMP_BOUND)) if c > 0.0 else (math.inf, _LOG_MAX)
-    # run cut first (a cut near the n/2 entries of a level saves little), and
-    # run again uncut when the end of the string is not among the exact records
+    plateau = 1.0 / c if c > 0.0 else math.inf
+    # run cut first, and uncut if the end is not among the exact records; up
+    # to 4 * _CAP a refused cut pass costs 81-96% of the uncut one: uncut only
     for cap in (_CAP, n) if c > 0.0 and 4 * _CAP < n else (n,):
         lpos, lf, lx = _levels(s, cap)
         if c == 0.0 and (peak := max([lpos[-1], *lx[-1:]])) > _LOG_MAX:
@@ -139,9 +137,9 @@ def invert(cf: ContinuedFraction) -> DiscreteString:
         # else at record len(head), which takes it
         hits = np.flatnonzero(head == plateau)
         end = int(hits[0]) if hits.size else len(head)
-        keep = int(np.searchsorted(lpos, bound, side="right"))
+        keep = int(np.searchsorted(lpos, _LOG_MAX, side="right"))
         if cap == n or min(end, keep + 1) < cap - 2:
-            break  # uncut, or the end or the first record past the bound is exact
+            break  # uncut, or the end or the first record past double range is exact
     if end > keep:
         decade = lpos[keep] / math.log(10.0)
         raise OverflowError(

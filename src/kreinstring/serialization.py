@@ -24,7 +24,6 @@ from itertools import repeat
 from typing import List, Optional
 
 from .continued import ContinuedFraction, Form, to_double
-from .metrics import ConvergenceStudy, ErrorReport
 from .strings import DiscreteString, validate_string
 
 
@@ -240,14 +239,16 @@ def _json_num(v: float) -> str:
     return fmt(v)
 
 
-def render_report(r: ErrorReport) -> str:
+def render_report(r) -> str:
+    """One JSON line for a ``metrics.ErrorReport``."""
     return (
         '{"metric":"%s","window":%s,"value":%s,"index":%d,"position":%s,"compared":%d}\n'
         % (r.metric, _json_num(r.window), _json_num(r.value), r.index, fmt(r.position), r.compared)
     )
 
 
-def render_study(st: ConvergenceStudy) -> str:
+def render_study(st) -> str:
+    """One JSON line for a ``metrics.ConvergenceStudy``."""
     entries = ",".join("[%d,%s]" % (n, _json_num(e)) for n, e in st.entries)
     return '{"metric":"%s","window":%s,"entries":[%s],"slope":%s}\n' % (
         st.metric,
@@ -257,7 +258,7 @@ def render_study(st: ConvergenceStudy) -> str:
     )
 
 
-def render_study_csv(st: ConvergenceStudy) -> str:
+def render_study_csv(st) -> str:
     lines = ["n,error"]
     for n, e in st.entries:
         lines.append("%d,%s" % (n, fmt(e)))

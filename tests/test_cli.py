@@ -616,6 +616,8 @@ FAULTS = {
                                 "1/s_0 is about 1e310, outside double range"),
     "invert-fold-short-of-plateau": ("invert --in @in", b'{"form":"krein","s":[' + b",".join([b"1e300,1e-300"] * 30)
                                      + b"]}", 1, "before its values reach 1/s_0, outside double range"),
+    "invert-end-past-1e305": ("invert --in @in", b'{"form":"krein","s":[1e-3,1e-305,1,1e-2,1,1e-2,1]}', 0,
+                              "\n1.0020010000000353e+305,1000\n"),
     "compare-inf-window": ("compare --approx @in --reference uniform --window inf", b"x,y\n0,0.5\n4,1\n", 0,
                            '"window":Infinity,'),
     "study-inf-window": ("study --family tanh --n-list 5,11,21 --reference uniform --window inf", b"", 0,

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,15 +12,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exact_oracles import invert_exact, levels_oracle
+import kreinstring
 from kreinstring import inversion
 from kreinstring.continued import krein_fraction, stieltjes_fraction
 from kreinstring.evaluate import char_function, eval_fraction
-from kreinstring.families import PAPER_PARAMETERS, bessel_drift_coefficients, tanh_coefficients
+from kreinstring.families import (
+    PAPER_PARAMETERS,
+    bessel_drift_coefficients,
+    log_limit_coefficients,
+    tanh_coefficients,
+)
 from kreinstring.inversion import invert
 from kreinstring.metrics import sup_error
-from kreinstring.strings import build_string
+from kreinstring.strings import DiscreteString, build_string
+from kreinstring.transforms import dual, remove_zero_atom
 
 Z_GRID = (-0.5, -1.0, -2.0, -5.0)
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(kreinstring.__file__)))
 
 
 class TestHandFixtures:
@@ -67,9 +80,21 @@ class TestErrors:
             invert(krein_fraction([1e-310, 1.0]))
 
     def test_mass_past_the_range_bound_is_not_folded_inward(self):
-        # folding the records past 1e305 would leave a round trip of 3e-3 at z = -1e-6
-        with pytest.raises(OverflowError, match="1e306 before its values reach 1/s_0, outside double range"):
+        # folding the records past the largest double would leave a wrong string
+        with pytest.raises(OverflowError, match="1e308 before its values reach 1/s_0, outside double range"):
             invert(krein_fraction([1e300, 1e-300] * 30))
+
+    def test_string_ending_near_the_largest_double_inverts(self):
+        """The last record lies past 1e305: positions are judged against the
+        largest double whatever s_0 is."""
+        cf = krein_fraction([1e-3, 1e-305, 1.0, 1e-2, 1.0, 1e-2, 1.0])
+        s = invert(cf)
+        assert len(s.jumps) == 4
+        assert s.jumps[-1] == (1.0020010000000353e305, 1000.0)
+        for z in Z_GRID:
+            assert char_function(s, z) == pytest.approx(eval_fraction(cf, z), rel=1e-9)
+        assert isinstance(dual(s), DiscreteString)
+        assert isinstance(remove_zero_atom(s), DiscreteString)
 
 
 def test_extreme_scales_round_trip():
@@ -118,7 +143,7 @@ def _outcome(coeffs, cap):
     st.integers(4, 16),
     st.booleans(),
 )
-@example([300.0, -300.0] * 30, 4, False)  # short of the plateau at 1e305
+@example([300.0, -300.0] * 30, 4, False)  # short of the plateau past the largest double
 @example([300.0] + [-300.0, -300.0, 3.0] * 9, 4, False)  # sums overflow past entry 4
 @example([0.0] + [-60.0, -60.0, -20.0] * 21 + [-60.0, -60.0], 4, False)  # n = 65, cut pass accepted
 @example([0.0] + [-60.0, -60.0, -20.0] * 22, 4, False)  # n = 66, cut pass accepted
@@ -362,6 +387,108 @@ def _merge_close(records):
         else:
             merged.append((x, y))
     return merged
+
+
+def _numbers(jumps, terminal):
+    """Every position and value of a string, then its terminal (0 for none)."""
+    return [*(v for record in jumps for v in record), terminal or 0.0]
+
+
+def _error_bound(coeffs, numbers):
+    """The relative error ``invert`` states for the families, n * eps * max(1, L),
+    L the largest |ln| of the nonzero coefficients and numbers of the string."""
+    logs = [abs(math.log(abs(v))) for v in [*map(float, coeffs), *numbers] if v]
+    return (len(coeffs) - 1) * sys.float_info.epsilon * max(1.0, *logs)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        pytest.param([Fraction(0)] + [Fraction(2 * k - 1) for k in range(1, 102)], id="tanh-101"),
+        # the paper's parameters: coefficients 2, 4, 2, 4, ...
+        pytest.param([Fraction(2 + 2 * (j % 2)) for j in range(128)], id="drift-127"),
+    ],
+)
+def test_records_keep_the_stated_error_bound(coeffs):
+    """Record by record against exact arithmetic, with records a few ulps
+    apart merged on both sides as in ``_assert_matches_exact``."""
+    want_pairs, want_term = invert_exact(coeffs)
+    s = invert(krein_fraction([float(v) for v in coeffs]))
+    bound = _error_bound(coeffs, _numbers(s.jumps, s.terminal))
+    got = _merge_close(list(s.jumps))
+    want = _merge_close([(float(x), float(y)) for x, y in want_pairs])
+    for (gx, gy), (ex, ey) in zip(got, want):
+        assert gx == pytest.approx(ex, rel=bound, abs=0.0)
+        assert gy == pytest.approx(ey, rel=bound, abs=0.0)
+    if want_term is None:
+        # the exact records past the end only climb further toward 1/s_0
+        assert all(y == pytest.approx(got[-1][1], rel=bound, abs=0.0) for _, y in want[len(got) - 1 :])
+    else:
+        assert len(got) == len(want)
+        assert s.terminal == pytest.approx(float(want_term), rel=bound, abs=0.0)
+
+
+# inverts each coefficient list read from stdin and writes its records and
+# terminal, or its error text, to stdout
+INVERT_ALL = """\
+import json, sys
+from kreinstring.continued import krein_fraction
+from kreinstring.inversion import invert
+
+def end(coeffs):
+    try:
+        s = invert(krein_fraction(coeffs))
+    except OverflowError as exc:
+        return str(exc)
+    return [s.jumps, s.terminal]
+
+json.dump([end(coeffs) for coeffs in json.load(sys.stdin)], sys.stdout)
+"""
+
+
+def _invert_all(lists, disabled=()):
+    """What INVERT_ALL writes for lists in a fresh interpreter, with numpy's
+    dispatch targets ``disabled`` switched off."""
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", INVERT_ALL], input=json.dumps(lists), env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_answers_agree_across_simd_dispatch():
+    """``invert``'s bytes depend on the kernels numpy picks for exp and log.
+    A child without the highest SIMD group numpy found (the targets above the
+    lowest one it found, or that one alone: AVX512 on a host that also has
+    AVX2, AVX2 on an AVX2-only host) must keep every record count and error
+    text and move no number by more than twice the stated bound, taken with
+    L in place of Lambda (at most Lambda, so the stricter test)."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    found = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+    if not found:
+        pytest.skip("numpy found no SIMD group above its baseline")
+    p = PAPER_PARAMETERS
+    families = [tanh_coefficients(1001), tanh_coefficients(2001), log_limit_coefficients(p["beta"], 4000),
+                *(_drift(n) for n in (63, 255, 1023, 4095))]
+    lists = [list(cf.coefficients) for cf in families]
+    rng = random.Random(20261019)
+    for _ in range(300):
+        coeffs = [10.0 ** rng.uniform(-100.0, 100.0) for _ in range(rng.randint(2, 119))]
+        if rng.random() < 0.3:
+            coeffs[0] = 0.0
+        lists.append(coeffs)
+    here, there = _invert_all(lists), _invert_all(lists, found[1:] or found)
+    for coeffs, a, b in zip(lists, here, there, strict=True):
+        if isinstance(a, str) or isinstance(b, str):
+            assert a == b
+            continue
+        assert len(a[0]) == len(b[0])
+        mine, theirs = _numbers(*a), _numbers(*b)
+        bound = 2.0 * _error_bound(coeffs, mine)
+        for u, v in zip(mine, theirs):
+            assert v == pytest.approx(u, rel=bound, abs=0.0)
 
 
 def test_unit_impedance_truncation_matches_exact_arithmetic():

@@ -135,6 +135,20 @@ def test_only_inversion_imports_numpy():
     assert [path.name for path in sorted(package.rglob("*.py")) if _imports_numpy(path)] == ["inversion.py"]
 
 
+def test_serialization_imports_no_algorithm():
+    # the file formats know the coefficient and string types, not the code that computes them
+    path = pathlib.Path(kreinstring.__file__).parent / "serialization.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            imported.add(node.module or "")
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "kreinstring":
+            imported.add(node.module.partition(".")[2])
+        elif isinstance(node, ast.Import):
+            imported.update(a.name.partition(".")[2] for a in node.names if a.name.split(".")[0] == "kreinstring")
+    assert imported <= {"continued", "strings"}
+
+
 # one command per exit code, with the files above
 MODULE_RUNS = {
     "exit-0": (["invert", "--in", "c.json"], 0),
