@@ -159,6 +159,24 @@ def test_capped_levels_give_the_uncapped_string(exponents, cap, zero_lead):
     assert _outcome(coeffs, cap) == _outcome(coeffs, len(coeffs))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(4, 16).flatmap(
+        lambda cap: st.tuples(st.lists(st.floats(-100.0, 100.0), min_size=2 * cap + 3, max_size=4 * cap + 1), st.just(cap))
+    )
+)
+@example(([0.0] * 17, 4))  # n = 16: the end lies past the cut, so the cut pass is refused
+@example(([0.0] + [-60.0, -60.0, -20.0] * 3 + [-60.0, -60.0], 4))  # n = 11, cut pass accepted
+@example(([0.0] + [-60.0, -60.0, -20.0] * 4, 4))  # n = 12, cut pass accepted
+def test_levels_just_longer_than_the_cap_give_the_uncapped_string(drawn):
+    """2 * cap + 2 <= n <= 4 * cap, where an uncut level holds n // 2 > cap
+    gaps, so the first pass runs cut.  s_0 > 0 throughout, since s_0 = 0
+    runs uncut only."""
+    exponents, cap = drawn
+    coeffs = [10.0**e for e in exponents]
+    assert _outcome(coeffs, cap) == _outcome(coeffs, len(coeffs))
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-100.0, 100.0), min_size=18, max_size=80), st.integers(4, 8))
 def test_cut_levels_are_a_prefix_of_the_uncut_levels(exponents, cap):
@@ -201,16 +219,22 @@ def test_levels_match_the_reference_loop_bit_for_bit(coeffs, zero_lead, cap):
 @pytest.mark.parametrize(
     "cf, caps",
     [
-        pytest.param(_drift(1023), [1023], id="drift-1023"),
+        pytest.param(_drift(513), [513], id="drift-513"),
+        pytest.param(_drift(514), [256], id="drift-514"),
+        pytest.param(_drift(1023), [256], id="drift-1023"),
         pytest.param(_drift(2047), [256], id="drift-2047"),
         pytest.param(_drift(4095), [256], id="drift-4095"),
         pytest.param(_drift(8191), [256, 8191], id="drift-8191"),
+        pytest.param(krein_fraction([2.0 * k - 1 for k in range(1, 1002)]), [256, 1000], id="tanh-bare-1000"),
         pytest.param(tanh_coefficients(2000), [2000], id="tanh-2000"),
     ],
 )
 def test_passes_run_at_their_caps(monkeypatch, cf, caps):
-    """Orders above 4 * _CAP with s_0 > 0 run cut first; drift 8191 then
-    runs again uncut, and orders up to 1024 and s_0 = 0 run uncut only."""
+    """With s_0 > 0, every order whose uncut level is longer than _CAP
+    (n // 2 > _CAP, so from n = 514 on) runs cut first.  Tanh without its
+    leading 0 keeps every record, and drift 8191 274 of them, more than the
+    cut holds: both run again uncut.  Orders up to 513 and s_0 = 0 run uncut
+    only."""
     levels, seen = inversion._levels, []
 
     def recorded(s, cap):
