@@ -1,10 +1,16 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 precondition violation (bad flags or values, or a
-result outside double range), 2 malformed or unreadable input files.  Errors
-are one line on stderr.  All numbers carry 17 significant digits; on one numpy
-build and one CPU dispatch, identical inputs give byte-identical files.
-Each ``_cmd_*`` handler returns its command's text, and ``main`` alone writes it.
+README's "Command-line interface" states what a user sees: the commands,
+exit codes and output determinism.
+
+``main(argv)`` can be called in-process any number of times.  The first call
+builds the argument parser and later calls reuse it; each call parses into a
+fresh namespace, so no flag carries over from one call to the next, and
+importing this module builds no parser.  Each ``_cmd_*`` handler returns its
+command's text, and ``main`` alone writes it, once, after the command has
+succeeded: to ``--out``, or to the ``sys.stdout`` of the moment, so
+``contextlib.redirect_stdout`` captures it.  A command that fails writes
+nothing, to stdout or to ``--out``.
 """
 
 from __future__ import annotations

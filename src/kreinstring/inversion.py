@@ -1,5 +1,8 @@
 """Reconstruction of a discrete string from KREIN-form coefficients.
 
+README's "Numerical design" states what a caller relies on (error bound,
+range rule, pass rule); this docstring derives the level recursion.
+
 The string for coefficients s_0, ..., s_n is built level by level: level m
 holds the string of the trailing coefficients s_{n-m}, ..., s_n, and level
 m+1 follows from level m by dualizing and applying an exact piecewise-linear
@@ -13,13 +16,15 @@ mass cap is approached only as x grows without bound produces strings whose
 last records sit at genuinely astronomical positions, and the intermediate
 levels stretch further still: about 1e+-2460 at Bessel-drift order 4095.
 Exact rational arithmetic confirms these magnitudes, so they are the answer,
-not a defect.  Their logarithms are ordinary doubles on every host.
+not a defect.  Their logarithms are ordinary doubles on every platform;
+numpy's longdouble, a plain double on some, would not do.
 
 Difference form keeps relative precision.  Cumulative values saturate toward
 1/c within a level, and differencing them would zero out every mass below
 the rounding threshold.  Updates of gaps and masses are products and
 quotients, sums of logs here.  Each level rounds its logs to about eps times
-their size, so the error of a record grows with n (``invert`` states a bound).
+their size, and a record passes through up to n levels, so its error grows
+with n (``invert`` states the bound).
 
 The one sum a level needs is log f = log(1 + c x) at every position x, the
 prefix sums of exp(a) with a = [0, log(c * gap), ...].  Every level but the
@@ -45,22 +50,19 @@ Up to a few hundred entries, a level costs its eight ufunc calls, not its
 entries.  A level cut to C entries differs from the one two before only in
 its numbers: its views into the buffers depend on the parity of the level
 alone, which also sets the roles of the two mass buffers.  So two view sets,
-built the first time a level reaches the cut, serve every cut level.  The
-ufuncs are looked up and the coefficient logs taken once per pass, outputs
-go positionally and scalars are read as floats, so a cut level costs little
-more than its eight calls.
+built the first time a level reaches the cut, serve every cut level, and a
+cut level costs little more than its eight calls.
 
 The string ends at the plateau 1/s_0: at its first record whose value is
-1/s_0, else at its last record.  With s_0 = 0 the plateau 1/s_0 = inf is the
-terminal, and the levels run uncut.  With s_0 > 0 the end comes early,
-record 196 or so of 2048 for the Bessel-drift and log-limit families at n
-near 4000, 98 of 512 at drift order 1023.  So wherever an uncut level would
-be longer than ``_CAP`` entries (n // 2 > _CAP), ``invert`` runs the levels
-cut to ``_CAP`` entries, checks that the end falls among the exact records,
-and otherwise runs them again uncut.  A refused cut pass is the price: tanh
-without its leading 0 keeps every record, and at n = 600 to 1023 its cut
-pass costs 77-95% of the uncut one.  A survey at 514 <= n <= 1024
-(log-uniform, log-limit, Bessel-drift and constant lists) refused no other.
+1/s_0, else at its last record.  The records after it add nothing at double
+resolution and are dropped, however far out they lie.  With s_0 = 0 the
+plateau 1/s_0 = inf is the terminal, and the levels run uncut.  With s_0 > 0
+the end comes early: Bessel-drift keeps 98 of the 512 records it would
+compute at order 1023 and 195 of 2048 at order 4095.  So wherever an uncut
+level would be longer than ``_CAP`` entries (n // 2 > _CAP), ``invert`` runs
+the levels cut to ``_CAP`` entries, checks that the end falls among the exact
+records, and otherwise runs them again uncut, as at order 8191, which keeps
+274 records.
 
 On output, a value x/f with f = 1 + s_0 x comes from one of two formulas,
 whichever has the smaller error.  -expm1(-log f)/s_0 carries the error of
@@ -70,10 +72,6 @@ is small and x is not: at s_0 = 1e-237 and x = 9 the first formula is off
 by 1.1e-13 and this one by 1e-16.  Where log f is below the normal range
 (always when s_0 = 0) the first formula keeps no digits at all.
 ``strings.build_string`` merges records whose positions round to one double.
-The records after the first one at 1/s_0 add no value and are dropped,
-however far out they lie.  Every position up to the end must fit in doubles,
-whatever s_0 is: a string whose values fall short of 1/s_0 past the largest
-double is refused, its remaining mass not folded inward.
 """
 
 from __future__ import annotations
@@ -99,8 +97,8 @@ def invert(cf: ContinuedFraction) -> DiscreteString:
     when s_0 = 0 the plateau is 1/s_0 = inf and its position is the terminal.
     Positions, values and the terminal agree with exact arithmetic to a
     relative error below n*eps*max(1, Lambda), Lambda the largest |ln| of a
-    coefficient, gap, mass or position at any level (measured, not proven:
-    README), also where s_0 v is below the normal range.
+    coefficient, gap, mass or position at any level (measured, not proven;
+    see the module docstring), also where s_0 v is below the normal range.
     Rejects s_0 = 0 with n = 0 (the zero function is the characteristic
     function of no string).
 

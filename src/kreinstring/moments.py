@@ -12,9 +12,14 @@ s = (den[0]/d_den) / (num[0]/d_num) and replaces the rows by
 
 one term shorter, then divides the new num row and its denominator by their
 gcd.  N moments take O(N^2) integer operations; the only Fractions are the
-emitted coefficients.  The arithmetic is exact so that a moment sequence
-coming from a finite atomic measure terminates with a recognisable all-zero
-remainder instead of drowning in roundoff.
+emitted coefficients, and floats appear only in ``coefficients_from_moments``.
+The arithmetic is exact so that a moment sequence coming from a finite atomic
+measure terminates with a recognisable all-zero remainder instead of drowning
+in roundoff; fixed-precision variants of this recursion lose all significant
+digits beyond roughly fifteen moments.  A zero leading term never becomes a
+divisor, where the quotient-difference table, which computes the same
+coefficients, divides by entries that are 0/0 for any measure with an atom
+at zero.
 """
 
 from __future__ import annotations

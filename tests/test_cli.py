@@ -527,6 +527,23 @@ def test_readme_commands_run(tmp_path, monkeypatch):
     assert slopes == re.findall(r"slope near `(-[\d.]+)`", text)
 
 
+def test_readme_numbers_match_the_program(tmp_path, monkeypatch):
+    """The quick start runs, its record count and error are the ones its
+    comments quote, and the quoted range error is what invert says."""
+    text = README.read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", text, re.S)
+    out, names = io.StringIO(), {}
+    with contextlib.redirect_stdout(out):
+        exec(block, names)
+    assert len(names["string"].jumps) == int(re.search(r"# (\d+) records", block).group(1))
+    about = re.search(r"# about (\d+\.(\d+))", block)
+    assert "%.*f" % (len(about.group(2)), float(out.getvalue())) == about.group(1)
+    (coeffs, message), = re.findall(r"`invert` on\s+`(\{.*?\})` says `(.*?)`", text)
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("c.json").write_text(coeffs)
+    assert _run_quietly(["invert", "--in", "c.json"]) == (1, "", "error: %s\n" % message)
+
+
 def test_missing_subcommand_is_a_usage_error(capsys):
     code, _, err = run(capsys)
     assert code == 1

@@ -3,6 +3,7 @@ import contextlib
 import io
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -10,7 +11,9 @@ import pytest
 
 import kreinstring
 from kreinstring.cli import main
-from kreinstring.serialization import parse_string
+from kreinstring.families import PAPER_PARAMETERS, bessel_drift_coefficients
+from kreinstring.inversion import invert
+from kreinstring.serialization import parse_string, render_string
 from kreinstring.strings import DiscreteString
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(kreinstring.__file__)))
@@ -199,3 +202,68 @@ def test_parsing_checks_each_record_once(text, monkeypatch):
     with pytest.raises(AssertionError):
         DiscreteString(want.jumps, want.terminal)
     assert parse_string(text) == want
+
+
+# commands that need no numpy, run in order in one directory; later ones read
+# what earlier ones wrote
+PORTABLE_RUNS = [
+    ["coeffs", "tanh", "-n", "40"],
+    ["coeffs", "bessel-drift", "-n", "40", "--alpha", "0.5", "--beta", "2", "--c-const", "0.3989422804014327",
+     "--out", "drift.json"],
+    ["coeffs", "from-moments", "--in", "m.json", "--out", "st.json"],
+    ["eval", "--coeffs", "drift.json", "--z", "-0.5"],
+    ["eval", "--coeffs", "st.json", "--levy", "--lambda", "2"],
+    ["eval", "--string", "s.csv", "--z", "-1"],
+    ["dual", "--in", "s.csv", "--out", "dual.csv"],
+    ["hat", "--in", "s.csv"],
+    ["compare", "--approx", "s.csv", "--reference", "bm-drift", "--window", "5"],
+]
+
+
+def other_interpreters():
+    """Each python3.N on PATH, N >= 11 and not the running minor version, that starts."""
+    found = []
+    for minor in range(11, 20):
+        path = shutil.which("python3.%d" % minor)
+        if path is None or minor == sys.version_info.minor:
+            continue
+        try:
+            if subprocess.run([path, "-c", "pass"], capture_output=True, timeout=30).returncode == 0:
+                found.append(path)
+        except (OSError, subprocess.TimeoutExpired):
+            pass  # a shim without its interpreter counts as absent
+    return found
+
+
+def _portable_outputs(python, directory, monkeypatch):
+    """(exit code, stdout) of each PORTABLE_RUNS command in directory, and the files there after
+    them; python None runs them in-process."""
+    monkeypatch.chdir(directory)
+    outputs = []
+    for argv in PORTABLE_RUNS:
+        if python is None:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                outputs.append((main(argv), out.getvalue()))
+        else:
+            done = subprocess.run([python, "-m", "kreinstring", *argv], env=dict(os.environ, PYTHONPATH=SRC),
+                                  capture_output=True, text=True, timeout=60)
+            outputs.append((done.returncode, done.stdout))
+    return outputs, {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def test_other_interpreters_write_the_same_bytes(tmp_path, monkeypatch):
+    interpreters = other_interpreters()
+    if not interpreters:
+        pytest.skip("no other python3.N (N >= 11) on PATH")
+    p = PAPER_PARAMETERS
+    string = render_string(invert(bessel_drift_coefficients(p["alpha"], p["beta"], p["c_const"], 63)))
+    results = []
+    for python in [None, *interpreters]:
+        directory = tmp_path / str(len(results))
+        directory.mkdir()
+        write_files(directory)
+        (directory / "s.csv").write_text(string)  # a computed string, not the hand-written one
+        results.append(_portable_outputs(python, directory, monkeypatch))
+    for python, result in zip(interpreters, results[1:]):
+        assert result == results[0], python

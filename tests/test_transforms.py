@@ -3,7 +3,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from kreinstring.continued import krein_fraction
 from kreinstring.evaluate import char_function
+from kreinstring.families import PAPER_PARAMETERS, bessel_drift_coefficients
+from kreinstring.inversion import invert
 from kreinstring.strings import DiscreteString, eval_mass
 from kreinstring.transforms import dual, remove_zero_atom
 
@@ -82,6 +85,20 @@ class TestRemoveZeroAtom:
             want = char_function(s, z) + 1.0 / (m_tot * z)
             got = char_function(hat, z)
             assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [15, 63, 255, 511])
+    def test_agrees_with_inverting_without_s0(self, n):
+        """In KREIN form s_0/(-z) is the spectral atom at 0, so the hat of the
+        inverted string is the string of [0, s_1, ...]: a time change against
+        the s_0 = 0 recursion.  Their records may merge differently, so W and
+        the terminal are compared, not records."""
+        p = PAPER_PARAMETERS
+        cf = bessel_drift_coefficients(p["alpha"], p["beta"], p["c_const"], n)
+        hat = remove_zero_atom(invert(cf))
+        direct = invert(krein_fraction([0.0, *cf.coefficients[1:]]))
+        for z in (-1e-3, -1.0, -1e3):
+            assert char_function(hat, z) == pytest.approx(char_function(direct, z), rel=1e-13, abs=0.0)
+        assert hat.terminal == pytest.approx(direct.terminal, rel=1e-13, abs=0.0)
 
     def test_result_has_terminal(self):
         s = DiscreteString(((0.0, 0.0), (1.0, 1.0), (2.0, 3.0)))
