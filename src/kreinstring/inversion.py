@@ -46,12 +46,18 @@ becomes y0).  Cutting every level to its first C entries therefore leaves
 the first C - 2 final records bit for bit as they are.  The levels live in
 buffers of the largest level's size, allocated once per pass.
 
+Dualizing swaps gaps and masses, and so do the two level buffers: a level
+rewrites the gaps of the level before in place into its own masses, and
+those masses into its gaps.  A level's parity picks which buffer holds its
+masses, and the other holds its gaps.  The first mass of an even level is
+the y0 of the next, so it stays in slot 0 as that level's first gap.
+
 Up to a few hundred entries, a level costs its eight ufunc calls, not its
 entries.  A level cut to C entries differs from the one two before only in
 its numbers: its views into the buffers depend on the parity of the level
-alone, which also sets the roles of the two mass buffers.  So two view sets,
-built the first time a level reaches the cut, serve every cut level, and a
-cut level costs little more than its eight calls.
+alone.  So two view sets, built the first time a level reaches the cut,
+serve every cut level, and a cut level costs little more than its eight
+calls.
 
 The string ends at the plateau 1/s_0: at its first record whose value is
 1/s_0, else at its last record.  The records after it add nothing at double
@@ -167,13 +173,12 @@ def _levels(s, cap):
     n = len(s) - 1
     # a level holds at most min(cap, n // 2) + 1 entries; a[0] stays 0
     size = min(cap, n // 2) + 1
-    a, lf, lg = np.zeros(size), np.empty(size), np.empty(size)
-    # level m reads the masses of level m - 1 from masses[m % 2] and writes
-    # its own into the other buffer.  Level 0 is the constant string of the
-    # last coefficient, y0 alone.  After an even level the masses hold y0 in
-    # slot 0 and the k masses after it; after an odd level they start at slot 0.
-    masses = (np.empty(size), np.empty(size))
-    masses[1][0] = -math.log(s[n])
+    a, lf = np.zeros(size), np.empty(size)
+    # level m keeps its masses in buffers[m % 2] and its gaps, from slot 0
+    # on, in the other (module docstring).  Level 0 is the constant string of
+    # the last coefficient, y0 alone.
+    buffers = (np.empty(size), np.empty(size))
+    buffers[0][0] = -math.log(s[n])
     # level m has k = min(m // 2, cap) gaps, so once k reaches the cap a level
     # differs from the one two before only in its numbers: its views are kept
     capped = [None, None]
@@ -186,12 +191,12 @@ def _levels(s, cap):
             views = capped[odd]
             if views is None:
                 k = min(m // 2, cap)  # keeps its value from here on once capped
-                lm, spare = masses[odd], masses[1 - odd]
-                views = (lg[:k], a[: k + 1], a[1 : k + 1], lf[: k + 1], lf[:k], lf[1 : k + 1],
-                         spare[:k], lg[odd : odd + k], lm[odd : odd + k], lm, spare)
+                lg, lm = buffers[odd], buffers[1 - odd]
+                views = (lg[:k], lg, a[: k + 1], a[1 : k + 1], lf[: k + 1], lf[:k], lf[1 : k + 1],
+                         lm[odd : odd + k])
                 if k == cap:
                     capped[odd] = views
-            lg_k, a_k, a1, lf_k, lf0, lf1, new_k, ldx, lm_k, lm, spare = views
+            lg_k, lg, a_k, a1, lf_k, lf0, lf1, lm_k = views
             lc = logs[n - m]
             # log f at the origin and at every previous-level position
             add(lg_k, lc, a1)
@@ -211,13 +216,12 @@ def _levels(s, cap):
                     log(lf[:j], lf[:j])
                     a[j - 1] = lf[j - 1]
                     np.logaddexp.accumulate(a[j - 1 : k + 1], out=lf[j - 1 : k + 1])
-                # new masses: gap/(f_left f_right) per old gap, then the tail 1/(c f)
-                subtract(lg_k, lf0, new_k)
-                subtract(new_k, lf1, new_k)
-                spare[k] = -lc - lf.item(k)
-            # time-changed gaps f^2 * mass; an odd level prepends y0
-            add(lf1, lf1, ldx)
-            add(ldx, lm_k, ldx)
-            if odd:
-                lg[0] = lm.item(0)
-        return np.logaddexp.accumulate(lg[: odd + k]), lf1, lx
+                # the gaps become masses: gap/(f_left f_right) per gap, then the tail 1/(c f)
+                subtract(lg_k, lf0, lg_k)
+                subtract(lg_k, lf1, lg_k)
+                lg[k] = -lc - lf.item(k)
+            # the masses become gaps f^2 * mass, 2 log f in the spent a; an odd
+            # level's first gap is y0, which stays in slot 0
+            add(lf1, lf1, a1)
+            add(a1, lm_k, lm_k)
+        return np.logaddexp.accumulate(buffers[1 - odd][: odd + k]), lf1, lx

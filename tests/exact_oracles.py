@@ -1,11 +1,13 @@
 """Exact-rational reference implementations used as independent test oracles.
 
-Everything here but ``char_function_sweep``, ``levels_oracle``,
+Everything here but ``invert_decimal``, ``char_function_sweep``, ``levels_oracle``,
 ``parse_string_oracle``, ``validate_string_oracle``, ``bessel_drift_oracle``
 and ``log_limit_oracle`` runs on stdlib Fractions, so agreement with the float library certifies the float
 code down to representation error.  The reconstruction oracle mirrors the level-by-level
 recurrences in cumulative form; exactness makes the cancellation questions
 that drive the library's difference-form state irrelevant.
+``invert_decimal`` runs the same recurrences at 40 digits in difference form,
+where nothing cancels: exact Fractions grow too long past a hundred levels.
 ``char_function_sweep`` is the float reference that the library's
 ``char_function`` must match bit for bit, and ``levels_oracle`` the one that
 ``inversion._levels`` must match bit for bit.  ``parse_string_oracle`` reads
@@ -22,10 +24,13 @@ builders must give the same fraction or the same error.
 """
 
 import csv
+import decimal
 import io
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
 from typing import List, Optional, Sequence, Tuple
 
@@ -71,6 +76,47 @@ def invert_exact(
             continue
         merged.append(pair)
     return merged, None
+
+
+def invert_decimal(
+    s: Sequence[float], cap: Optional[int] = None
+) -> Tuple[List[Tuple[Decimal, Decimal]], Optional[Decimal]]:
+    """(jump records, terminal) of ``invert_exact`` in 40-digit decimals,
+    for n >= 1 float coefficients s, each converted exactly.
+
+    A level holds the gaps between its positions and its masses: the first
+    value, then the increments (after an odd level the first value is 0 and
+    not held).  The next level's masses are gap/(f_left f_right) per gap and
+    the tail 1/(c f), its gaps f^2 * mass, after the first value on an odd
+    level, with f = 1 + c x: positive sums, products and quotients only, so
+    every number keeps about 40 digits.  The exponent range is the widest
+    decimal has.  With ``cap``, every level keeps its first cap gaps and
+    masses, which are those of the uncut level, as are the records that
+    come out; a string cut so has no plateau record.
+    """
+    context = decimal.Context(prec=40, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    with decimal.localcontext(context):
+        s = [Decimal(v) for v in s]
+        n = len(s) - 1
+        gaps, masses, cut = [], [1 / s[n]], False
+        for m in range(1, n + 1):
+            c, odd = s[n - m], m % 2
+            xs = list(accumulate(gaps, initial=Decimal(0)))
+            f = [1 + c * x for x in xs]
+            new_gaps = masses[:odd] + [fi * fi * mass for fi, mass in zip(f[1:], masses[odd:])]
+            if m < n:
+                masses = [g / (f[i] * f[i + 1]) for i, g in enumerate(gaps)] + [1 / (c * f[-1])]
+                gaps = new_gaps
+                if cap is not None and max(len(gaps), len(masses)) > cap:
+                    gaps, masses, cut = gaps[:cap], masses[:cap], True
+        values = [Decimal(0)] * odd + [x / fx for x, fx in zip(xs[1:], f[1:])]
+        positions = list(accumulate(new_gaps, initial=Decimal(0)))
+        records = list(zip(positions, values))
+        if cut:
+            return records, None
+        if c == 0:
+            return records, positions[-1]
+        return records + [(positions[-1], 1 / c)], None
 
 
 def eval_krein_exact(s: Sequence[Fraction], z: Fraction) -> Fraction:

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_serialization import string_texts
 
-from kreinstring import cli
+from kreinstring import cli, inversion
 from kreinstring.cli import main
 from kreinstring.evaluate import char_function, eval_fraction, levy_exponent
 from kreinstring.families import FAMILIES, PAPER_PARAMETERS, tanh_coefficients
@@ -529,7 +530,8 @@ def test_readme_commands_run(tmp_path, monkeypatch):
 
 def test_readme_numbers_match_the_program(tmp_path, monkeypatch):
     """The quick start runs, its record count and error are the ones its
-    comments quote, and the quoted range error is what invert says."""
+    comments quote, the quoted range error is what invert says, and the
+    pass rule quotes the cut and the first order that runs it."""
     text = README.read_text(encoding="utf-8")
     (block,) = re.findall(r"```python\n(.*?)```", text, re.S)
     out, names = io.StringIO(), {}
@@ -542,6 +544,9 @@ def test_readme_numbers_match_the_program(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     pathlib.Path("c.json").write_text(coeffs)
     assert _run_quietly(["invert", "--in", "c.json"]) == (1, "", "error: %s\n" % message)
+    first, cut = re.search(r"`n >= (\d+)`, `invert` first runs its levels\s+cut to (\d+) entries", text).groups()
+    assert int(cut) == inversion._CAP
+    assert int(first) == next(n for n in itertools.count() if inversion._CAP < n // 2)
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from exact_oracles import invert_exact, levels_oracle
+from exact_oracles import invert_decimal, invert_exact, levels_oracle
 import kreinstring
 from kreinstring import inversion
 from kreinstring.continued import krein_fraction, stieltjes_fraction
@@ -203,7 +203,9 @@ def _drift(n):
     st.sampled_from([4, 5, 8, None]),
 )
 @example(list(tanh_coefficients(2007).coefficients), False, None)  # 954 levels overflow their linear sums
-@example(list(_drift(4095).coefficients), False, 256)
+@example(list(_drift(4095).coefficients), False, 256)  # the cut pass of drift-orders
+@example(list(_drift(8191).coefficients), False, 256)  # the cut pass invert refuses
+@example(list(log_limit_coefficients(2.0, 4000).coefficients), False, 256)  # beta = 2, as in drift-orders
 @example([0.0, 1e-3, 10.0, 1e5, 2.0, 7.0], False, None)  # the last level has log c = -inf
 def test_levels_match_the_reference_loop_bit_for_bit(coeffs, zero_lead, cap):
     """s_0 and 1 to 300 further log-uniform coefficients (10^+-80); cap None
@@ -426,27 +428,62 @@ def _error_bound(coeffs, numbers):
     return (len(coeffs) - 1) * sys.float_info.epsilon * max(1.0, *logs)
 
 
+def _tanh_exact(n):
+    """The unit-impedance (tanh) coefficients 0, 1, 3, ..., 2n - 1."""
+    return [Fraction(0)] + [Fraction(2 * k - 1) for k in range(1, n + 1)]
+
+
+def _drift_exact(n):
+    """Bessel drift at the paper's parameters: coefficients 2, 4, 2, 4, ..."""
+    return [Fraction(2 + 2 * (j % 2)) for j in range(n + 1)]
+
+
 @pytest.mark.parametrize(
-    "coeffs",
+    "coeffs", [pytest.param(_tanh_exact(101), id="tanh-101"), pytest.param(_drift_exact(127), id="drift-127")]
+)
+def test_decimal_oracle_matches_exact_arithmetic(coeffs):
+    """Every record and the terminal of ``invert_decimal`` within 1e-30 of
+    ``invert_exact``, relative."""
+    want_pairs, want_term = invert_exact(coeffs)
+    got_pairs, got_term = invert_decimal([float(v) for v in coeffs])
+    assert len(got_pairs) == len(want_pairs)
+    assert (got_term is None) == (want_term is None)
+    got = [*(v for record in got_pairs for v in record), got_term or 0]
+    want = [*(v for record in want_pairs for v in record), want_term or 0]
+    for g, w in zip(got, want):
+        assert abs(Fraction(g) - w) <= abs(w) / 10**30
+
+
+@pytest.mark.parametrize(
+    "coeffs, cap",
     [
-        pytest.param([Fraction(0)] + [Fraction(2 * k - 1) for k in range(1, 102)], id="tanh-101"),
-        # the paper's parameters: coefficients 2, 4, 2, 4, ...
-        pytest.param([Fraction(2 + 2 * (j % 2)) for j in range(128)], id="drift-127"),
+        pytest.param(_tanh_exact(101), None, id="tanh-101"),
+        pytest.param(_drift_exact(127), None, id="drift-127"),
+        # the orders the benchmark workloads run, at the cut ``invert`` runs
+        pytest.param(_tanh_exact(1001), None, id="tanh-1001"),
+        pytest.param(_drift_exact(1023), 256, id="drift-1023"),
+        pytest.param(_drift_exact(4095), 256, id="drift-4095"),
+        pytest.param(list(log_limit_coefficients(2.0, 4000).coefficients), 256, id="log-limit-4000"),
     ],
 )
-def test_records_keep_the_stated_error_bound(coeffs):
-    """Record by record against exact arithmetic, with records a few ulps
-    apart merged on both sides as in ``_assert_matches_exact``."""
-    want_pairs, want_term = invert_exact(coeffs)
-    s = invert(krein_fraction([float(v) for v in coeffs]))
+def test_records_keep_the_stated_error_bound(coeffs, cap):
+    """Record by record against 40-digit arithmetic, its levels cut to cap
+    entries.  The oracle's records are rounded to doubles and canonicalized
+    as ``invert`` canonicalizes its own, which drops a record whose value
+    rounds onto the one before; then records a few ulps apart are merged on
+    both sides as in ``_assert_matches_exact``."""
+    floats = [float(v) for v in coeffs]
+    want_pairs, want_term = invert_decimal(floats, cap)
+    s = invert(krein_fraction(floats))
     bound = _error_bound(coeffs, _numbers(s.jumps, s.terminal))
     got = _merge_close(list(s.jumps))
-    want = _merge_close([(float(x), float(y)) for x, y in want_pairs])
+    want = _merge_close(list(build_string([(float(x), float(y)) for x, y in want_pairs]).jumps))
     for (gx, gy), (ex, ey) in zip(got, want):
         assert gx == pytest.approx(ex, rel=bound, abs=0.0)
         assert gy == pytest.approx(ey, rel=bound, abs=0.0)
     if want_term is None:
-        # the exact records past the end only climb further toward 1/s_0
+        # the oracle's records past the end, cut or not, only climb further toward 1/s_0
+        assert len(got) <= len(want)
         assert all(y == pytest.approx(got[-1][1], rel=bound, abs=0.0) for _, y in want[len(got) - 1 :])
     else:
         assert len(got) == len(want)
@@ -519,8 +556,7 @@ def test_answers_agree_across_simd_dispatch():
 def test_unit_impedance_truncation_matches_exact_arithmetic():
     """Spot certification at a moderate order against stdlib fractions."""
     n = 41
-    exact_coeffs = [Fraction(0)] + [Fraction(2 * k - 1) for k in range(1, n + 1)]
-    want_pairs, want_term = invert_exact(exact_coeffs)
+    want_pairs, want_term = invert_exact(_tanh_exact(n))
     s = invert(tanh_coefficients(n))
     assert len(s.jumps) == len(want_pairs)
     for (gx, gy), (ex, ey) in zip(s.jumps, want_pairs):

@@ -1,11 +1,13 @@
 import ast
 import contextlib
+import importlib
 import io
 import os
 import pathlib
 import shutil
 import subprocess
 import sys
+import tomllib
 
 import pytest
 
@@ -94,6 +96,15 @@ def test_command_starts_without_numpy(argv, tmp_path):
 def test_invert_loads_numpy(tmp_path):
     # the guard above can fail: the level loop of ``invert`` does use arrays
     assert numpy_loaded_after(["invert", "--in", "c.json"], tmp_path)
+
+
+def test_console_script_is_cli_main():
+    # the command pip installs runs the same main the tests call
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"kreinstring": "kreinstring.cli:main"}
+    module, _, name = scripts["kreinstring"].partition(":")
+    assert getattr(importlib.import_module(module), name) is main
 
 
 def test_import_builds_no_parser():
