@@ -121,7 +121,7 @@ def invert(cf: ContinuedFraction) -> DiscreteString:
     if n == 0:
         if s[0] == 0.0:
             raise ValueError("s_0 = 0 with no further coefficients matches no string")
-        return DiscreteString(((0.0, 1.0 / s[0]),))
+        return build_string([(0.0, 1.0 / s[0])])
     import numpy as np  # here, not at module level: no other command needs arrays
 
     c = s[0]

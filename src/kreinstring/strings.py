@@ -5,13 +5,18 @@ M : [0, inf) -> [0, inf], stored as its finitely many jumps plus an optional
 "terminal" coordinate beyond which the mass is infinite.  The jumps are a plain
 tuple, read without numpy: ``eval_mass`` is a binary search on it.
 
-Canonical form comes from one record loop with two entry points, and each
-record is checked once.  ``validate_string`` checks rows from outside the
-program strictly, then builds the string without checking its jumps again:
-jumps merged from checked rows cannot fail.  ``build_string`` takes records
-the library computed, where rounding may land distinct jumps on one double:
-those merge, a terminal on or before the last position moves to the next
-double, and ``DiscreteString`` checks the jumps once, as for any string.
+Canonical form comes from one record loop with two ways in, and only this
+module builds a string in it; each record is checked once.
+``validate_string`` takes rows from outside the program, checks them
+strictly, then builds the string without checking its jumps again: jumps
+merged from checked rows cannot fail.  ``build_string`` takes the records of
+every string the library computes (``invert``, ``dual``, ``hat``), where
+rounding may land distinct jumps on one double: records at one position
+merge to the larger value, a record that adds no value is dropped, and
+``DiscreteString`` checks the jumps once, as for any string.  Its terminal
+moves to the next double after the last position only where
+``DiscreteString`` would refuse it: before the last position, or on it when
+the last jump carries mass.  So a terminal at 0 on the massless origin stays.
 """
 
 from __future__ import annotations
@@ -120,8 +125,9 @@ def build_string(
     """Canonical string from records the library computed as floats, in
     position order; ``DiscreteString`` checks the merged jumps once."""
     jumps = _canonical_jumps(records)
-    if terminal is not None and terminal <= jumps[-1][0]:
-        terminal = math.nextafter(jumps[-1][0], math.inf)
+    last_x, last_y = jumps[-1]
+    if terminal is not None and (terminal < last_x or terminal == last_x and last_y > 0.0):
+        terminal = math.nextafter(last_x, math.inf)  # a canonical last jump carries mass unless it is a massless origin
     return DiscreteString(jumps, terminal)
 
 

@@ -22,20 +22,13 @@ def dual(s: DiscreteString) -> DiscreteString:
     terminal at its total mass; a terminal point of the input becomes the
     final plateau height of the output.
     """
-    pairs = []
-    level = 0.0
+    records, level = [], 0.0
     for x, y in s.jumps:
-        if y > level:
-            pairs.append((level, x))
-            level = y
-    if s.terminal is not None:
-        pairs.append((level, s.terminal))
-        term = None
-    else:
-        term = level
-    if not pairs:
-        pairs = [(0.0, 0.0)]
-    return DiscreteString(tuple(pairs), term)
+        records.append((level, x))  # the plateau before the jump, and the jump's position
+        level = y
+    if s.terminal is None:
+        return build_string(records, terminal=level)
+    return build_string([*records, (level, s.terminal)])
 
 
 def remove_zero_atom(s: DiscreteString) -> DiscreteString:
@@ -64,7 +57,7 @@ def remove_zero_atom(s: DiscreteString) -> DiscreteString:
     last = len(s.jumps) - 1
     for j, (t, y) in enumerate(s.jumps):
         x_new += (1.0 - prev_y / m_tot) ** 2 * (t - prev_t)
-        if y > prev_y and j < last:
+        if j < last:
             rescaled = y / (1.0 - y / m_tot)
             if math.isinf(rescaled):
                 raise OverflowError(f"rescaled mass of jump {j} ({t}, {y}) exceeds double range")

@@ -1,8 +1,8 @@
 """Exact-rational reference implementations used as independent test oracles.
 
 Everything here but ``invert_decimal``, ``char_function_sweep``, ``levels_oracle``,
-``parse_string_oracle``, ``validate_string_oracle``, ``bessel_drift_oracle``
-and ``log_limit_oracle`` runs on stdlib Fractions, so agreement with the float library certifies the float
+``parse_string_oracle``, ``validate_string_oracle``, ``dual_oracle``,
+``bessel_drift_oracle`` and ``log_limit_oracle`` runs on stdlib Fractions, so agreement with the float library certifies the float
 code down to representation error.  The reconstruction oracle mirrors the level-by-level
 recurrences in cumulative form; exactness makes the cancellation questions
 that drive the library's difference-form state irrelevant.
@@ -17,6 +17,10 @@ a string file row by row through the csv module, as the library's
 canonicalizes them and builds the string through ``DiscreteString``, which
 checks the jumps again: the library's ``validate_string`` did so before it
 checked each row once and built the string without a second check.
+``dual_oracle`` builds the dual's canonical jumps by hand, skipping the jumps
+that add no mass and special-casing an empty result, as the library's
+``dual`` did before it handed its records to ``build_string``; the two must
+agree bit for bit.
 ``bessel_drift_oracle`` and ``log_limit_oracle`` build each family's
 coefficients in a loop that appends them to a list and checks the list, as
 the library's builders did before each stated its formula as a generator; the
@@ -80,9 +84,11 @@ def invert_exact(
 
 def invert_decimal(
     s: Sequence[float], cap: Optional[int] = None
-) -> Tuple[List[Tuple[Decimal, Decimal]], Optional[Decimal]]:
-    """(jump records, terminal) of ``invert_exact`` in 40-digit decimals,
-    for n >= 1 float coefficients s, each converted exactly.
+) -> Tuple[List[Tuple[Decimal, Decimal]], Optional[Decimal], float]:
+    """(jump records, terminal, Lambda) of ``invert_exact`` in 40-digit
+    decimals, for n >= 1 float coefficients s, each converted exactly.
+    Lambda is the largest |ln| of a nonzero coefficient, gap, mass or
+    position held at any level, the last level's records included.
 
     A level holds the gaps between its positions and its masses: the first
     value, then the increments (after an odd level the first value is 0 and
@@ -99,9 +105,13 @@ def invert_decimal(
         s = [Decimal(v) for v in s]
         n = len(s) - 1
         gaps, masses, cut = [], [1 / s[n]], False
+        held = [*s, *masses]
         for m in range(1, n + 1):
             c, odd = s[n - m], m % 2
             xs = list(accumulate(gaps, initial=Decimal(0)))
+            # a level's largest |ln| is at its smallest or largest number: no
+            # position lies below the smallest gap, no gap beyond the last position
+            held += [min(gaps + masses), max(xs + masses)]
             f = [1 + c * x for x in xs]
             new_gaps = masses[:odd] + [fi * fi * mass for fi, mass in zip(f[1:], masses[odd:])]
             if m < n:
@@ -112,11 +122,13 @@ def invert_decimal(
         values = [Decimal(0)] * odd + [x / fx for x, fx in zip(xs[1:], f[1:])]
         positions = list(accumulate(new_gaps, initial=Decimal(0)))
         records = list(zip(positions, values))
+        held += [*new_gaps, *values, positions[-1]]
+        lam = max(abs(float(v.ln())) for v in held if v)
         if cut:
-            return records, None
+            return records, None, lam
         if c == 0:
-            return records, positions[-1]
-        return records + [(positions[-1], 1 / c)], None
+            return records, positions[-1], lam
+        return records + [(positions[-1], 1 / c)], None, lam
 
 
 def eval_krein_exact(s: Sequence[Fraction], z: Fraction) -> Fraction:
@@ -334,6 +346,23 @@ def validate_string_oracle(raw, terminal=None) -> DiscreteString:
         elif y > jumps[-1][1]:
             jumps.append((x, y))
     return DiscreteString(tuple(jumps), terminal)
+
+
+def dual_oracle(s: DiscreteString) -> DiscreteString:
+    pairs = []
+    level = 0.0
+    for x, y in s.jumps:
+        if y > level:
+            pairs.append((level, x))
+            level = y
+    if s.terminal is not None:
+        pairs.append((level, s.terminal))
+        term = None
+    else:
+        term = level
+    if not pairs:
+        pairs = [(0.0, 0.0)]
+    return DiscreteString(tuple(pairs), term)
 
 
 def bessel_drift_oracle(alpha: float, beta: float, c_const: float, n: int) -> ContinuedFraction:

@@ -4,6 +4,7 @@ import importlib
 import io
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -107,6 +108,20 @@ def test_console_script_is_cli_main():
     assert getattr(importlib.import_module(module), name) is main
 
 
+def test_ci_runs_the_tier1_command_on_the_declared_floors():
+    # the workflow runs ROADMAP's tier-1 command and installs exactly the versions
+    # pyproject.toml declares as floors, so CI, packaging and ROADMAP cannot drift apart
+    root = pathlib.Path(__file__).resolve().parents[1]
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    runs = [line.strip()[len("run: "):] for line in workflow.splitlines() if line.strip().startswith("run: ")]
+    roadmap = (root / "ROADMAP.md").read_text(encoding="utf-8")
+    assert re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap).group(1) in runs
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    floors = [*project["dependencies"], *project["optional-dependencies"]["test"]]
+    installs = [sorted(run.split()[4:]) for run in runs if run.startswith("python -m pip install ")]
+    assert installs == [sorted(floor.replace(">=", "==") for floor in floors)]
+
+
 def test_import_builds_no_parser():
     # the command-line parser is built on the first main() call, not at import
     done = fresh_python("import kreinstring.cli as cli; print(cli._build_parser.cache_info().currsize)")
@@ -199,6 +214,26 @@ def test_only_validate_string_skips_the_jump_check():
     builds = {path.name: _unchecked_builds(path) for path in sorted(package.rglob("*.py"))}
     assert {name for name, _ in builds.pop("strings.py")} == {"validate_string"}
     assert builds == {name: [] for name in builds}
+
+
+def _string_constructions(path):
+    """(top-level definition, line) of each call of DiscreteString, by name or attribute."""
+    return [
+        (getattr(top, "name", None), node.lineno)
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and "DiscreteString" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_only_build_string_constructs_a_string():
+    # every string the library computes (invert, dual, hat) comes out of build_string,
+    # so only strings.py knows the canonical form
+    package = pathlib.Path(kreinstring.__file__).parent
+    calls = {path.name: _string_constructions(path) for path in sorted(package.rglob("*.py"))}
+    assert {name for name, _ in calls.pop("strings.py")} == {"build_string"}
+    assert calls == {name: [] for name in calls}
 
 
 @pytest.mark.parametrize(

@@ -103,6 +103,17 @@ class TestBuildString:
             assert s.terminal == math.nextafter(1.25, math.inf)
         assert build_string([(0.0, 0.0), (1.25, 1.0)], terminal=2.0).terminal == 2.0
 
+    def test_terminal_at_zero_on_the_massless_origin_stays(self):
+        # DiscreteString accepts it: the origin carries no mass
+        s = build_string([(0.0, 0.0)], terminal=0.0)
+        assert (s.jumps, s.terminal) == (((0.0, 0.0),), 0.0)
+
+    def test_terminal_before_the_last_position_moves(self):
+        s = build_string([(0.0, 0.0), (1.25, 0.0), (2.0, 1.0)], terminal=1.5)
+        assert s.jumps == ((0.0, 0.0), (2.0, 1.0))
+        assert s.terminal == math.nextafter(2.0, math.inf)
+        assert build_string([(0.0, 0.0)], terminal=-1.0).terminal == 5e-324
+
 
 class TestEvalMass:
     def test_right_continuous_lookup(self):

@@ -1,5 +1,8 @@
+import sys
+
 import numpy as np
 import pytest
+from exact_oracles import dual_oracle
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -32,6 +35,18 @@ def strings(draw, allow_terminal=True, require_mass=False):
     return DiscreteString(tuple(zip(xs, ys)), terminal)
 
 
+@st.composite
+def wide_strings(draw):
+    """Canonical strings anywhere in double range, subnormals and a massless
+    origin included."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    numbers = st.lists(st.floats(0.0, 1e308), min_size=k, max_size=k, unique=True)
+    xs = [0.0, *sorted(draw(numbers))[1:]]
+    ys = sorted(draw(numbers))
+    terminal = draw(st.none() | st.floats(xs[-1], sys.float_info.max, exclude_min=True))
+    return DiscreteString(tuple(zip(xs, ys)), terminal)
+
+
 class TestDual:
     def test_hand_example(self):
         # single atom m at the origin <-> massless string of length m
@@ -51,6 +66,16 @@ class TestDual:
         d = dual(s)
         assert d.jumps == ((0.0, 1.0), (2.0, 4.0))
         assert d.terminal is None
+
+    @given(wide_strings())
+    @example(DiscreteString(((0.0, 0.0),)))  # massless, no terminal
+    @example(DiscreteString(((0.0, 0.0),), terminal=0.0))
+    @example(DiscreteString(((0.0, 0.5),)))  # a lone atom at the origin
+    @example(DiscreteString(((0.0, 0.0), (1.0, 2.0), (3.0, 2.5))))  # a massless origin, then jumps
+    @example(DiscreteString(((0.0, 1.0), (1.0, 2.0)), terminal=4.0))
+    def test_matches_the_hand_built_dual_bit_for_bit(self, s):
+        # repr tells every two doubles apart, the signs of zero included
+        assert repr(dual(s)) == repr(dual_oracle(s))
 
     @given(strings())
     def test_involution_is_exact(self, s):
