@@ -4,15 +4,20 @@ The coefficient extraction runs the Euclid step of the Stieltjes fraction on
 the asymptotic expansion of the characteristic function at z -> -infinity,
 kept as a ratio num/den of two truncated series (Viskovatov's two-row form).
 Each row is a list of Python ints over one positive int denominator, with the
-moments' alternating signs folded into the first num row.  A step emits
-s = (den[0]/d_den) / (num[0]/d_num) and replaces the rows by
+moments' alternating signs folded into the first num row.  A step divides
+the pivots n0 = num[0] and d0 = den[0] by h = gcd(n0, d0), emits
+s = (d0/d_den) / (n0/d_num) and replaces the rows by
 
-    num <- (den[1:]*num[0] - den[0]*num[1:]) / (d_den*num[0]),
+    num <- (den[1:]*n0 - d0*num[1:]) / (d_den*n0),
     den <- num[:-1] / d_num,
 
 one term shorter, then divides the new num row and its denominator by their
-gcd.  N moments take O(N^2) integer operations; the only Fractions are the
-emitted coefficients, and floats appear only in ``coefficients_from_moments``.
+gcd.  Taking h out of the pivots first is exact: with the undivided pivots,
+h divides every entry of the new num row and its denominator, so the row
+gcd removes it anyway and the reduced rows are the same integers; the
+products are only formed without it.  N moments take O(N^2) integer
+operations; the only Fractions are the emitted coefficients, and floats
+appear only in ``coefficients_from_moments``.
 The arithmetic is exact so that a moment sequence coming from a finite atomic
 measure terminates with a recognisable all-zero remainder instead of drowning
 in roundoff; fixed-precision variants of this recursion lose all significant
@@ -49,7 +54,7 @@ def stieltjes_from_moments_exact(moments: Sequence[Fraction]) -> Tuple[List[Frac
     if moments[0] <= 0:
         raise ValueError("zeroth moment (total mass) must be positive")
     # Rows as in the module docstring: num/d_num and den/d_den.  The new den row
-    # is the old num row, already reduced, so one gcd per step suffices.
+    # is the old num row, already reduced, so one row gcd per step suffices.
     # den[0] stays positive, so the sign of num[0] is the sign of the leading
     # term of num/den.
     d_num = math.lcm(*(c.denominator for c in moments))
@@ -64,6 +69,8 @@ def stieltjes_from_moments_exact(moments: Sequence[Fraction]) -> Tuple[List[Frac
             raise ValueError(
                 "not a moment sequence: nonpositive divisor at coefficient %d" % len(coeffs)
             )
+        h = math.gcd(n0, d0)
+        n0, d0 = n0 // h, d0 // h
         coeffs.append(Fraction(d0 * d_num, d_den * n0))
         num, den = [d * n0 - d0 * v for d, v in zip(den[1:], num[1:])], num[:-1]
         d_num, d_den = d_den * n0, d_num

@@ -17,6 +17,9 @@ merge to the larger value, a record that adds no value is dropped, and
 moves to the next double after the last position only where
 ``DiscreteString`` would refuse it: before the last position, or on it when
 the last jump carries mass.  So a terminal at 0 on the massless origin stays.
+A merged record keeps the kept record's position, and its value on a tie,
+so the origin is always +0.0, whatever sign a file gives its zeros; a
+terminal from outside is made +0.0 too.
 """
 
 from __future__ import annotations
@@ -89,12 +92,13 @@ def _check_terminal(jumps, terminal: Optional[float]) -> None:
 def _canonical_jumps(records: Iterable[Tuple[float, float]]) -> Tuple[Tuple[float, float], ...]:
     """Merge records at one position and drop those that add no value.
 
-    Starts from (0, 0); a merged record keeps the larger value.
+    Starts from (0, 0); a merged record keeps the kept record's position and
+    the larger value, the kept one winning a tie.
     """
     jumps = [(0.0, 0.0)]
     for x, y in records:
         if x == jumps[-1][0]:
-            jumps[-1] = (x, max(y, jumps[-1][1]))
+            jumps[-1] = (jumps[-1][0], max(jumps[-1][1], y))
         elif y > jumps[-1][1]:
             jumps.append((x, y))
     return tuple(jumps)
@@ -110,7 +114,7 @@ def validate_string(
     Each row is checked once, here: its canonical jumps are not checked again.
     """
     if terminal is not None:
-        terminal = float(terminal)
+        terminal = float(terminal) + 0.0  # -0.0 + 0.0 is +0.0
     jumps = _canonical_jumps(_check_records(raw, "row"))
     _check_terminal(jumps, terminal)
     s = object.__new__(DiscreteString)  # skips __post_init__: checked rows give valid jumps

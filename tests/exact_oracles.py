@@ -327,7 +327,7 @@ def parse_string_oracle(text: str) -> DiscreteString:
 def validate_string_oracle(raw, terminal=None) -> DiscreteString:
     pairs = [(float(x), float(y)) for x, y in raw]
     if terminal is not None:
-        terminal = float(terminal)
+        terminal = float(terminal) + 0.0
     prev_x = prev_y = -math.inf
     for i, (x, y) in enumerate(pairs):
         if not (math.isfinite(x) and math.isfinite(y)):
@@ -339,10 +339,10 @@ def validate_string_oracle(raw, terminal=None) -> DiscreteString:
         if y < prev_y:
             raise ValueError(f"values decrease at row {i}")
         prev_x, prev_y = x, y
-    jumps = [(0.0, 0.0)]  # merge rows at one position, drop those that add no value
+    jumps = [(0.0, 0.0)]  # merge rows at one position, drop those that add no value; one origin, +0.0
     for x, y in pairs:
         if x == jumps[-1][0]:
-            jumps[-1] = (x, max(y, jumps[-1][1]))
+            jumps[-1] = (jumps[-1][0], max(jumps[-1][1], y))
         elif y > jumps[-1][1]:
             jumps.append((x, y))
     return DiscreteString(tuple(jumps), terminal)

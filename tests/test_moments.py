@@ -1,10 +1,13 @@
+import math
+import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from exact_oracles import eval_stieltjes_exact, stieltjes_from_moments_oracle
+from exact_oracles import drift_family_moments, eval_stieltjes_exact, stieltjes_from_moments_oracle
+from kreinstring import moments as moments_module
 from kreinstring.continued import Form, krein_fraction
 from kreinstring.families import tanh_coefficients
 from kreinstring.moments import (
@@ -120,11 +123,23 @@ def test_an_atom_at_zero_ends_the_list_one_coefficient_early(w0, atoms):
         assert eval_stieltjes_exact(coeffs, z) == want
 
 
+def lebesgue_moments(count):
+    """Moments 1/(k+1) of Lebesgue measure on [0, 1]."""
+    return [Fraction(1, k + 1) for k in range(count)]
+
+
+def thirty_atoms(zero_atom):
+    return [(Fraction(j + (not zero_atom), 3), Fraction(1, j + 1)) for j in range(30)]
+
+
+def sixty_two_moments(atoms):
+    return [sum(w * lam**j for lam, w in atoms) for j in range(62)]
+
+
 @pytest.mark.parametrize("zero_atom", [False, True])
 def test_thirty_atoms_from_sixty_two_moments(zero_atom):
-    atoms = [(Fraction(j + (not zero_atom), 3), Fraction(1, j + 1)) for j in range(30)]
-    moments = [sum(w * lam**j for lam, w in atoms) for j in range(62)]
-    coeffs, terminated = stieltjes_from_moments_exact(moments)
+    atoms = thirty_atoms(zero_atom)
+    coeffs, terminated = stieltjes_from_moments_exact(sixty_two_moments(atoms))
     assert terminated
     assert len(coeffs) == 60 - zero_atom
     z = Fraction(-1, 2)
@@ -164,10 +179,36 @@ def perturbed_moments(draw):
         perturbed_moments(),
     )
 )
+# pivots sharing large factors, which hypothesis does not draw
+@example(lebesgue_moments(96))
+@example(drift_family_moments(Fraction(1, 2), Fraction(2), Fraction(1), 40))
+@example(sixty_two_moments(thirty_atoms(zero_atom=True)))
 def test_integer_rows_match_the_fraction_recurrence(moments):
     """Same coefficients, the same terminated flag and the same error text as
     the Fraction recurrence, on valid, integer and invalid sequences."""
     assert _outcome(stieltjes_from_moments_exact, moments) == _outcome(stieltjes_from_moments_oracle, moments)
+
+
+def test_lebesgue_moments_give_the_closed_form():
+    # an exact oracle at a length the Fraction recurrence cannot reach quickly
+    coeffs, terminated = stieltjes_from_moments_exact(lebesgue_moments(400))
+    assert coeffs == [Fraction(j + 1) if j % 2 == 0 else Fraction(4, j + 1) for j in range(400)]
+    assert not terminated
+
+
+def test_pivots_lose_their_common_factor_before_the_products(monkeypatch):
+    # dividing num[0] and den[0] by their gcd first keeps every row half as wide
+    # as forming the products and reducing after; the bit count needs no clock
+    widest = []
+
+    def gcd(*args):
+        widest.append(max(abs(a).bit_length() for a in args))
+        return math.gcd(*args)
+
+    monkeypatch.setattr(moments_module, "math", types.SimpleNamespace(lcm=math.lcm, gcd=gcd))
+    coeffs, _ = stieltjes_from_moments_exact(lebesgue_moments(96))
+    assert len(coeffs) == 96
+    assert max(widest) <= 160
 
 
 def test_float_boundary_tags_form_and_termination():

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import importlib
 import io
+import json
 import os
 import pathlib
 import re
@@ -120,6 +121,31 @@ def test_ci_runs_the_tier1_command_on_the_declared_floors():
     floors = [*project["dependencies"], *project["optional-dependencies"]["test"]]
     installs = [sorted(run.split()[4:]) for run in runs if run.startswith("python -m pip install ")]
     assert installs == [sorted(floor.replace(">=", "==") for floor in floors)]
+
+
+def test_committed_bench_files_hold_correct_runs():
+    # every committed benchmark run names a declared workload, passed its checks
+    # and reports the metrics BENCHMARK.json declares, in their units
+    root = pathlib.Path(__file__).resolve().parents[1]
+    declared = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = {w["name"] for w in declared["workloads"]}
+    end_to_end = {m["name"]: m["unit"] for m in declared["end_to_end"]}
+    per_layer = {m["name"]: m["unit"] for m in declared["per_layer"]}
+    files = sorted(root.glob("BENCH_*.json"))
+    assert files
+    for path in files:
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            where = "%s:%d" % (path.name, number)
+            run = json.loads(line)
+            assert isinstance(run, dict) and {"workload", "side", "seed", "trace", "result"} <= set(run), where
+            assert run["workload"] in workloads and run["side"] in ("parent", "change"), where
+            result = run["result"]
+            assert result["correct"] is True and result["failed"] == 0, where
+            units = {name: metric["unit"] for name, metric in result["metrics"].items()}
+            if run["trace"] == 0:
+                assert units == end_to_end, where
+            else:
+                assert run["trace"] == 1 and units.items() <= per_layer.items(), where
 
 
 def test_import_builds_no_parser():

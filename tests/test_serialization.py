@@ -26,6 +26,7 @@ from kreinstring.serialization import (
     render_study_csv,
 )
 from kreinstring.strings import DiscreteString
+from kreinstring.transforms import dual
 
 
 # positive doubles, subnormals and both ends of the range among them
@@ -219,6 +220,14 @@ class TestStrings:
     def test_parse_inserts_missing_origin(self):
         s = parse_string("x,y\n1,0.5\n")
         assert s.jumps[0] == (0.0, 0.0)
+
+    @pytest.mark.parametrize("text", ["x,y\n-0,0\n1,2\n", "x,y\n0,-0\n", "x,y\n0,0\n-0,inf\n"])
+    def test_a_negative_zero_read_from_a_file_is_held_as_zero(self, text):
+        # the canonical form has one origin, +0.0, whatever sign a file gives its zeros
+        s = parse_string(text)
+        entries = [v for jump in s.jumps for v in jump] + [s.terminal] * (s.terminal is not None)
+        assert [math.copysign(1.0, v) for v in entries] == [1.0] * len(entries)
+        assert repr(dual(dual(s))) == repr(s)  # repr shows the sign of a zero, == does not
 
     def test_blank_lines_are_ignored(self):
         s = parse_string("x,y\n\n0,1\n\n")

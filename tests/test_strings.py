@@ -261,6 +261,8 @@ def _outcome(validate, rows, terminal):
 @example(([(0.0, 0.0), (1, 1)], 1))
 @example(([(0.0, 0.0), (1.0, 1.0), (2.0, 1.0)], 2.0))
 @example(([(0.0, math.nan)], None))
+@example(([(-0.0, 0.0), (1.0, 2.0)], None))
+@example(([(0.0, -0.0)], -0.0))
 def test_rows_are_checked_once_as_by_the_oracle(drawn):
     rows, terminal = drawn
     got = _outcome(validate_string, rows, terminal)
