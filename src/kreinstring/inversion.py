@@ -68,7 +68,8 @@ compute at order 1023 and 195 of 2048 at order 4095.  So wherever an uncut
 level would be longer than ``_CAP`` entries (n // 2 > _CAP), ``invert`` runs
 the levels cut to ``_CAP`` entries, checks that the end falls among the exact
 records, and otherwise runs them again uncut, as at order 8191, which keeps
-274 records.
+274 records.  ``invert`` takes the coefficient logs once per call, with
+log s_0 = -inf for s_0 = 0, and both passes run on them.
 
 On output, a value x/f with f = 1 + s_0 x comes from one of two formulas,
 whichever has the smaller error.  -expm1(-log f)/s_0 carries the error of
@@ -115,22 +116,22 @@ def invert(cf: ContinuedFraction) -> DiscreteString:
         raise ValueError("inversion expects KREIN-form coefficients")
     s = cf.coefficients
     n = len(s) - 1
-    if s[0] > 0.0 and math.isinf(1.0 / s[0]):
-        decade = -math.log10(s[0])
+    c = s[0]
+    plateau = 1.0 / c if c > 0.0 else math.inf
+    if c > 0.0 and math.isinf(plateau):
+        decade = -math.log10(c)
         raise OverflowError("the final plateau 1/s_0 is about 1e%.0f, outside double range" % decade)
     if n == 0:
-        if s[0] == 0.0:
+        if c == 0.0:
             raise ValueError("s_0 = 0 with no further coefficients matches no string")
-        return build_string([(0.0, 1.0 / s[0])])
+        return build_string([(0.0, plateau)])
     import numpy as np  # here, not at module level: no other command needs arrays
 
-    c = s[0]
-    lc = math.log(c) if c > 0.0 else -math.inf
-    plateau = 1.0 / c if c > 0.0 else math.inf
+    logs = [math.log(c) if c > 0.0 else -math.inf, *map(math.log, s[1:])]
     # run cut first wherever the cut is shorter than the uncut level, and
     # uncut again if the end is not among the exact records
     for cap in (_CAP, n) if c > 0.0 and _CAP < n // 2 else (n,):
-        lpos, lf, lx = _levels(s, cap)
+        lpos, lf, lx = _levels(logs, cap)
         if c == 0.0 and (peak := max([lpos[-1], *lx[-1:]])) > _LOG_MAX:
             decade = peak / math.log(10.0)
             raise OverflowError("the string reaches about 1e%.0f, outside double range" % decade)
@@ -138,9 +139,9 @@ def invert(cf: ContinuedFraction) -> DiscreteString:
         # f = 1 + c x from the formula with the smaller error: exp(log x - log f)
         # carries that of log x, -expm1(-log f)/c that of log(c x) over f, and
         # no digit at all where log f is below the normal range
-        logs = (lf < sys.float_info.min) | (np.abs(lx) < np.abs(lc + lx) * np.exp(-lf))
-        values = np.exp(lx - lf, where=logs, out=np.zeros_like(lf))
-        np.divide(-np.expm1(-lf), c, where=~logs, out=values)
+        ratio = (lf < sys.float_info.min) | (np.abs(lx) < np.abs(logs[0] + lx) * np.exp(-lf))
+        values = np.exp(lx - lf, where=ratio, out=np.zeros_like(lf))
+        np.divide(-np.expm1(-lf), c, where=~ratio, out=values)
         head = np.concatenate(([0.0], values)) if n % 2 == 1 else values
         # the string ends at its first record whose value is the plateau,
         # else at record len(head), which takes it
@@ -161,16 +162,17 @@ def invert(cf: ContinuedFraction) -> DiscreteString:
     return build_string(records, terminal)
 
 
-def _levels(s, cap):
+def _levels(logs, cap):
     """Final-level logs: the positions, log f = log(1 + s_0 x) and log x at
-    every previous-level position x.  Needs n >= 1.
+    every previous-level position x, from the coefficient logs log s_0
+    (-inf for s_0 = 0), ..., log s_n.  Needs n >= 1.
 
     Every level keeps at most its first ``cap`` entries, which changes no bit
     of the first cap - 2 records (see the module docstring).
     """
     import numpy as np
 
-    n = len(s) - 1
+    n = len(logs) - 1
     # a level holds at most min(cap, n // 2) + 1 entries; a[0] stays 0
     size = min(cap, n // 2) + 1
     a, lf = np.zeros(size), np.empty(size)
@@ -178,13 +180,12 @@ def _levels(s, cap):
     # on, in the other (module docstring).  Level 0 is the constant string of
     # the last coefficient, y0 alone.
     buffers = (np.empty(size), np.empty(size))
-    buffers[0][0] = -math.log(s[n])
+    buffers[0][0] = -logs[n]
     # level m has k = min(m // 2, cap) gaps, so once k reaches the cap a level
     # differs from the one two before only in its numbers: its views are kept
     capped = [None, None]
     # a level costs its eight ufunc calls and little else (module docstring)
     add, subtract, exp, log, cumsum = np.add, np.subtract, np.exp, np.log, np.add.accumulate
-    logs = [math.log(s[0]) if s[0] > 0.0 else -math.inf, *map(math.log, s[1:])]
     with np.errstate(over="ignore"):  # linear sums past double range are inf
         for m in range(1, n + 1):
             odd = m % 2

@@ -19,7 +19,8 @@ moves to the next double after the last position only where
 the last jump carries mass.  So a terminal at 0 on the massless origin stays.
 A merged record keeps the kept record's position, and its value on a tie,
 so the origin is always +0.0, whatever sign a file gives its zeros; a
-terminal from outside is made +0.0 too.
+terminal is made +0.0 too, on both ways in, so that ``dual`` cannot pass on
+the -0.0 of a hand-built string's value.
 """
 
 from __future__ import annotations
@@ -78,14 +79,16 @@ def _check_records(records, label: str) -> list:
 
 def _check_terminal(jumps, terminal: Optional[float]) -> None:
     """Reject a terminal that is not finite and non-negative, lies before the
-    last jump, or sits on a last jump that carries mass."""
+    last jump, or sits on a last jump that carries mass: canonical jumps add
+    mass at every position after the origin, so the last carries mass unless
+    it is a massless origin (``last_y > 0.0``)."""
     if terminal is not None:
         last_x, last_y = jumps[-1]
         if not math.isfinite(terminal) or terminal < 0.0:
             raise ValueError("terminal must be a finite non-negative position")
         if terminal < last_x:
             raise ValueError("terminal precedes the last jump")
-        if terminal == last_x and last_y > (jumps[-2][1] if len(jumps) > 1 else 0.0):
+        if terminal == last_x and last_y > 0.0:
             raise ValueError("terminal coincides with a mass-carrying jump")
 
 
@@ -131,8 +134,9 @@ def build_string(
     jumps = _canonical_jumps(records)
     last_x, last_y = jumps[-1]
     if terminal is not None and (terminal < last_x or terminal == last_x and last_y > 0.0):
-        terminal = math.nextafter(last_x, math.inf)  # a canonical last jump carries mass unless it is a massless origin
-    return DiscreteString(jumps, terminal)
+        terminal = math.nextafter(last_x, math.inf)  # where _check_terminal would refuse it
+    # -0.0 + 0.0 is +0.0, as for a terminal from outside
+    return DiscreteString(jumps, None if terminal is None else terminal + 0.0)
 
 
 def eval_mass(s: DiscreteString, x: float) -> float:

@@ -5,7 +5,12 @@
   because it only rearranges the stored numbers.
 * ``remove_zero_atom``: the string whose spectral measure is the original one
   with the atom at zero deleted, realized by an exact piecewise-linear time
-  change.
+  change.  One loop walks the jumps in consecutive pairs.  Each jump gets one
+  deficit d = (m_tot - y)/m_tot, which gives both its rescaled mass y/d and
+  the factor d**2 of the time change on the gap after it.  Its subtraction
+  is exact for y >= m_tot/2 (Sterbenz's lemma), so near the plateau, where
+  1 - y/m_tot would keep only the digits y/m_tot rounds to, every record
+  stays within a few ulps of exact arithmetic on the input's doubles.
 """
 
 from __future__ import annotations
@@ -50,18 +55,12 @@ def remove_zero_atom(s: DiscreteString) -> DiscreteString:
         raise ValueError("string carries no mass")
     if len(s.jumps) == 1:
         raise ValueError("single atom at the origin degenerates to a point")
-    pairs = []
-    x_new = 0.0
-    prev_t = 0.0
-    prev_y = 0.0
-    last = len(s.jumps) - 1
-    for j, (t, y) in enumerate(s.jumps):
-        x_new += (1.0 - prev_y / m_tot) ** 2 * (t - prev_t)
-        if j < last:
-            rescaled = y / (1.0 - y / m_tot)
-            if math.isinf(rescaled):
-                raise OverflowError(f"rescaled mass of jump {j} ({t}, {y}) exceeds double range")
-            pairs.append((x_new, rescaled))
-        prev_t, prev_y = t, y
-    return build_string(pairs, terminal=x_new)
-
+    pairs, x = [], 0.0
+    for j, ((t, y), (t_next, _)) in enumerate(zip(s.jumps, s.jumps[1:])):
+        deficit = (m_tot - y) / m_tot
+        rescaled = y / deficit
+        if math.isinf(rescaled):
+            raise OverflowError(f"rescaled mass of jump {j} ({t}, {y}) exceeds double range")
+        pairs.append((x, rescaled))
+        x += deficit**2 * (t_next - t)
+    return build_string(pairs, terminal=x)

@@ -149,6 +149,20 @@ def eval_stieltjes_exact(s: Sequence[Fraction], z: Fraction) -> Fraction:
     return 1 / u
 
 
+def hat_exact(s: DiscreteString) -> Tuple[List[Tuple[Fraction, Fraction]], Fraction]:
+    """(records, terminal) of ``remove_zero_atom`` over the exact values of
+    s's doubles: jump j at x_j maps to y_j/d_j with d_j = 1 - y_j/m_tot, and
+    the gap after it to d_j**2 times the gap; no record is merged."""
+    jumps = [(Fraction(t), Fraction(y)) for t, y in s.jumps]
+    m_tot = jumps[-1][1]
+    records, x = [], Fraction(0)
+    for (t, y), (t_next, _) in zip(jumps, jumps[1:]):
+        deficit = 1 - y / m_tot
+        records.append((x, y / deficit))
+        x += deficit**2 * (t_next - t)
+    return records, x
+
+
 def stieltjes_from_moments_oracle(moments: Sequence[Fraction]) -> Tuple[List[Fraction], bool]:
     """Exact Stieltjes-form coefficients from the moments c_k = integral of x^k.
 

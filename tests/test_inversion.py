@@ -177,6 +177,11 @@ def test_levels_just_longer_than_the_cap_give_the_uncapped_string(drawn):
     assert _outcome(coeffs, cap) == _outcome(coeffs, len(coeffs))
 
 
+def _logs(s):
+    """The coefficient logs ``_levels`` takes: log s_0, or -inf for s_0 = 0, then log s_j."""
+    return [math.log(s[0]) if s[0] > 0.0 else -math.inf, *map(math.log, s[1:])]
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-100.0, 100.0), min_size=18, max_size=80), st.integers(4, 8))
 def test_cut_levels_are_a_prefix_of_the_uncut_levels(exponents, cap):
@@ -185,7 +190,7 @@ def test_cut_levels_are_a_prefix_of_the_uncut_levels(exponents, cap):
     s = [10.0**e for e in exponents]
     n = len(s) - 1
     k = min(cap, n // 2)
-    cut, uncut = inversion._levels(s, cap), inversion._levels(s, n)
+    cut, uncut = inversion._levels(_logs(s), cap), inversion._levels(_logs(s), n)
     for got, want, size in zip(cut, uncut, (k + n % 2, k, k)):
         assert len(got) == size
         assert np.array_equal(got[: cap - 2], want[: cap - 2])
@@ -213,7 +218,7 @@ def test_levels_match_the_reference_loop_bit_for_bit(coeffs, zero_lead, cap):
     s = [0.0, *coeffs[1:]] if zero_lead else coeffs
     cap = len(s) - 1 if cap is None else cap
     with np.errstate(invalid="raise", divide="raise"):
-        got, want = inversion._levels(s, cap), levels_oracle(s, cap)
+        got, want = inversion._levels(_logs(s), cap), levels_oracle(s, cap)
     for g, w in zip(got, want, strict=True):
         assert np.array_equal(g, w)
 
@@ -239,9 +244,9 @@ def test_passes_run_at_their_caps(monkeypatch, cf, caps):
     only."""
     levels, seen = inversion._levels, []
 
-    def recorded(s, cap):
+    def recorded(logs, cap):
         seen.append(cap)
-        return levels(s, cap)
+        return levels(logs, cap)
 
     monkeypatch.setattr(inversion, "_levels", recorded)
     invert(cf)
@@ -501,6 +506,39 @@ def test_records_keep_the_stated_error_bound(coeffs, cap, l_form):
     else:
         assert len(got) == len(want)
         assert s.terminal == pytest.approx(float(want_term), rel=bound, abs=0.0)
+
+
+# The dual shift: in KREIN form the dual of the string of s_0, ..., s_n is
+# the string of 0, s_0, ..., s_n.  It sets the s_0 > 0 path (its cut or
+# refused pass and the expm1 value formula) against the s_0 = 0 uncut path.
+# Records agreed to 3.5e-15 (tanh, n = 4000) and W to 1.1e-15 (drift, n =
+# 506); the bound is about 3 times the larger, and a shift of every log
+# position by 1e-12 moves both by 1e-12, 100 times the bound.
+DUAL_SHIFT_BOUND = 1e-14
+
+
+@pytest.mark.parametrize("n", [1000, 4000])
+def test_dual_shift_of_tanh_without_its_leading_zero(n):
+    """Tanh without its leading 0 keeps every record, so its cut pass is
+    refused and the records come from the uncut rerun."""
+    coeffs = list(tanh_coefficients(n).coefficients)
+    shifted, direct = dual(invert(krein_fraction(coeffs[1:]))), invert(krein_fraction(coeffs))
+    assert len(shifted.jumps) == len(direct.jumps)
+    for (sx, sy), (dx, dy) in zip(shifted.jumps, direct.jumps):
+        assert sx == pytest.approx(dx, rel=DUAL_SHIFT_BOUND, abs=0.0)
+        assert sy == pytest.approx(dy, rel=DUAL_SHIFT_BOUND, abs=0.0)
+    assert shifted.terminal == pytest.approx(direct.terminal, rel=DUAL_SHIFT_BOUND, abs=0.0)
+
+
+def test_dual_shift_of_drift():
+    """Drift with s_0 = 0 leaves double range by n = 1023.  The two strings
+    may merge records differently, so W and the terminal are compared."""
+    for n in [*range(3, 511, 7), 511]:
+        coeffs = list(_drift(n).coefficients)
+        shifted, direct = dual(invert(krein_fraction(coeffs))), invert(krein_fraction([0.0, *coeffs]))
+        for z in (-1e-3, -1.0, -1e3):
+            assert char_function(shifted, z) == pytest.approx(char_function(direct, z), rel=DUAL_SHIFT_BOUND, abs=0.0)
+        assert shifted.terminal == pytest.approx(direct.terminal, rel=DUAL_SHIFT_BOUND, abs=0.0)
 
 
 # inverts each coefficient list read from stdin and writes its records and

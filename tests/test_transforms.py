@@ -1,8 +1,11 @@
+import math
+import random
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from exact_oracles import dual_oracle
+from exact_oracles import dual_oracle, hat_exact
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -77,6 +80,11 @@ class TestDual:
         # repr tells every two doubles apart, the signs of zero included
         assert repr(dual(s)) == repr(dual_oracle(s))
 
+    def test_terminal_zero_is_positive(self):
+        # a hand-built string may hold -0.0; its plateau height becomes the terminal
+        d = dual(DiscreteString(((0.0, -0.0),)))
+        assert math.copysign(1.0, d.terminal) == 1.0
+
     @given(strings())
     def test_involution_is_exact(self, s):
         assert dual(dual(s)) == s
@@ -98,7 +106,50 @@ class TestDual:
             assert w_dual == pytest.approx(1.0 / (-z * w), rel=1e-10)
 
 
+def near_plateau_strings(count, seed):
+    """Seeded strings whose total mass is not a power of two, with values
+    from near 0 up to a deficit 1 - y/m_tot of about 3e-16; each gap is scaled
+    by 1/deficit**2, so that the time change keeps every record apart."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m_tot = rng.uniform(0.1, 10.0)
+        assert math.frexp(m_tot)[0] != 0.5
+        depths = sorted(rng.uniform(0.0, 15.5) for _ in range(rng.randint(1, 11)))
+        records, x = [], 0.0
+        for y in [m_tot * (1.0 - 10.0**-d) for d in depths]:
+            if y > (records[-1][1] if records else -1.0) and y < m_tot:
+                records.append((x, y))
+                x += 10.0 ** rng.uniform(-1.0, 1.0) * (m_tot / (m_tot - y)) ** 2
+        yield DiscreteString((*records, (x, m_tot)))
+
+
+def _assert_matches_hat_exact(s):
+    """Every record and the terminal within 4 ulps of the exact hat of the
+    same doubles, an ulp taken as eps relative to the exact number."""
+    hat = remove_zero_atom(s)
+    records, terminal = hat_exact(s)
+    assert len(hat.jumps) == len(records)
+    got = [*(v for record in hat.jumps for v in record), hat.terminal]
+    want = [*(v for record in records for v in record), terminal]
+    for g, w in zip(got, want):
+        assert abs(Fraction(g) - w) <= 4 * Fraction(sys.float_info.epsilon) * w
+
+
 class TestRemoveZeroAtom:
+    def test_matches_the_exact_hat_near_the_plateau(self):
+        """1 - y/m_tot rounds y/m_tot first and keeps few digits near the
+        plateau; m_tot - y is exact for y >= m_tot/2 (Sterbenz)."""
+        for s in near_plateau_strings(400, seed=19):
+            _assert_matches_hat_exact(s)
+
+    @pytest.mark.parametrize("n", [63, 511])
+    def test_matches_the_exact_hat_of_an_inverted_string(self, n):
+        """Three times the drift coefficients at c_const 0.3: m_tot is
+        0.1253..., and the last records lie a few ulps short of it."""
+        p = PAPER_PARAMETERS
+        cf = bessel_drift_coefficients(p["alpha"], p["beta"], 0.3, n)
+        _assert_matches_hat_exact(invert(krein_fraction([3.0 * v for v in cf.coefficients])))
+
     @given(strings(allow_terminal=False, require_mass=True))
     # near the cap the time-change increments fall below one ulp of 1.25
     @example(DiscreteString(((0.0, 0.0), (1.0, 0.5), (2.0, 0.999999999999), (3.0, 1.0))))
