@@ -11,14 +11,27 @@ s = (d0/d_den) / (n0/d_num) and replaces the rows by
     num <- (den[1:]*n0 - d0*num[1:]) / (d_den*n0),
     den <- num[:-1] / d_num,
 
-one term shorter, then divides the new num row and its denominator by their
-gcd.  Taking h out of the pivots first is exact: with the undivided pivots,
-h divides every entry of the new num row and its denominator, so the row
-gcd removes it anyway and the reduced rows are the same integers; the
-products are only formed without it.  N moments take O(N^2) integer
-operations; the only Fractions are the emitted coefficients, and floats
-appear only in ``coefficients_from_moments``.
-The arithmetic is exact so that a moment sequence coming from a finite atomic
+one term shorter.  Taking h out of the pivots first is exact: with the
+undivided pivots, h divides every entry of the new num row and its
+denominator, so the row gcd removes it anyway and the reduced rows are the
+same integers; the products are only formed without it.
+
+The new num row and its denominator are then divided by their gcd, the row
+content, except at the step right after a reduction whose content was below
+2**30, one digit of a Python int; no two rows in a row go unreduced.  This is
+exact too.  A row left unreduced is its reduced form times a positive
+integer, so it stands for the same rational row: the sign of num[0], the
+all-zero test and each coefficient, a normalised Fraction of a ratio that does
+not depend on scale, come out the same, and the next reduction gives the same
+integers as reducing at every step, since a reduced row over a positive
+denominator is unique.  The skip keys on the content just measured: the rows
+of Lebesgue or drift moments take out a few bits a step, which buys little
+for a gcd chain and a division pass, while those of an atomic measure take
+out hundreds of bits a step, which compound when left in.
+
+N moments take O(N^2) integer operations; the only Fractions are the emitted
+coefficients, and floats appear only in ``coefficients_from_moments``.  The
+arithmetic is exact so that a moment sequence coming from a finite atomic
 measure terminates with a recognisable all-zero remainder instead of drowning
 in roundoff; fixed-precision variants of this recursion lose all significant
 digits beyond roughly fifteen moments.  A zero leading term never becomes a
@@ -35,6 +48,10 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .continued import ContinuedFraction, Form, to_double
+
+
+# A row content below one 30-bit digit of a Python int leaves the next row unreduced.
+_SMALL_CONTENT = 1 << 30
 
 
 def stieltjes_from_moments_exact(moments: Sequence[Fraction]) -> Tuple[List[Fraction], bool]:
@@ -54,13 +71,15 @@ def stieltjes_from_moments_exact(moments: Sequence[Fraction]) -> Tuple[List[Frac
     if moments[0] <= 0:
         raise ValueError("zeroth moment (total mass) must be positive")
     # Rows as in the module docstring: num/d_num and den/d_den.  The new den row
-    # is the old num row, already reduced, so one row gcd per step suffices.
+    # is the old num row, so only the new num row is reduced, and not when
+    # ``skip`` says the last reduction took out less than _SMALL_CONTENT.
     # den[0] stays positive, so the sign of num[0] is the sign of the leading
     # term of num/den.
     d_num = math.lcm(*(c.denominator for c in moments))
     num = [(c.numerator * (d_num // c.denominator)) * (-1) ** k for k, c in enumerate(moments)]
     den, d_den = [1] + [0] * (len(num) - 1), 1
     coeffs: List[Fraction] = []
+    skip = False
     while num:
         if not any(num):
             return coeffs, True
@@ -72,10 +91,17 @@ def stieltjes_from_moments_exact(moments: Sequence[Fraction]) -> Tuple[List[Frac
         h = math.gcd(n0, d0)
         n0, d0 = n0 // h, d0 // h
         coeffs.append(Fraction(d0 * d_num, d_den * n0))
-        num, den = [d * n0 - d0 * v for d, v in zip(den[1:], num[1:])], num[:-1]
+        tail = zip(den[1:], num[1:])
+        row = [d - d0 * v for d, v in tail] if n0 == 1 else [d * n0 - d0 * v for d, v in tail]
+        num, den = row, num[:-1]
         d_num, d_den = d_den * n0, d_num
-        g = math.gcd(d_num, *num)
-        num, d_num = [v // g for v in num], d_num // g
+        if skip:
+            skip = False
+        else:
+            g = math.gcd(d_num, *num)
+            if g > 1:
+                num, d_num = [v // g for v in num], d_num // g
+            skip = g < _SMALL_CONTENT
     return coeffs, False
 
 

@@ -1,11 +1,13 @@
+import decimal
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from exact_oracles import bessel_drift_oracle, drift_family_moments, log_limit_oracle
+from exact_oracles import bessel_drift_oracle, drift_family_moments, eval_krein_exact, log_limit_oracle
 from kreinstring.evaluate import eval_fraction
 from kreinstring.families import (
     FAMILIES,
@@ -209,6 +211,39 @@ class TestGeneratorsAgainstTheLoops:
     @example(2.0, 2)
     def test_log_limit(self, beta, n):
         assert _outcome(log_limit_coefficients, beta, n) == _outcome(log_limit_oracle, beta, n)
+
+
+def _tanh_over_r(z):
+    r = (-z).sqrt()
+    e = (-2 * r).exp()
+    return (1 - e) / (1 + e) / r
+
+
+# family -> (exact KREIN coefficient j, closed form of W at a Decimal z < 0)
+EXACT_FAMILIES = {
+    "drift": (lambda j: Fraction(2 + 2 * (j % 2)), lambda z: Decimal("0.5") / ((1 - z / 2).sqrt() - 1)),
+    "log-limit": (lambda j: Fraction(2, j + 1) if j % 2 else Fraction(4 * (j + 1)), lambda z: 2 / (1 - z / 2).ln()),
+    "tanh": (lambda j: Fraction(max(2 * j - 1, 0)), _tanh_over_r),
+}
+
+
+@pytest.mark.parametrize("family", sorted(EXACT_FAMILIES))
+def test_truncations_bracket_the_closed_form(family):
+    """Every positive continuation of s_0, ..., s_n has its W(z), z < 0,
+    between the convergents of orders n - 1 and n (Stieltjes 1894), so the
+    family's closed form lies between them.  The closed form takes 80 digits:
+    at 40, s_50 scaled by 1 + 1e-6 stays inside for drift and log-limit."""
+    coefficient, closed_form = EXACT_FAMILIES[family]
+    s = [coefficient(j) for j in range(129)]
+    slack = Decimal("1e-76")
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        for z in (-1, -1000, -(10**6)):
+            w = closed_form(Decimal(z))
+            for n in (8, 16, 32, 64, 128):
+                ends = [eval_krein_exact(s[: k + 1], Fraction(z)) for k in (n - 1, n)]
+                lo, hi = sorted(Decimal(v.numerator) / v.denominator for v in ends)
+                assert lo * (1 - slack) <= w <= hi * (1 + slack), (n, z)
 
 
 class TestReferenceMass:

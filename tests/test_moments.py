@@ -196,9 +196,8 @@ def test_lebesgue_moments_give_the_closed_form():
     assert not terminated
 
 
-def test_pivots_lose_their_common_factor_before_the_products(monkeypatch):
-    # dividing num[0] and den[0] by their gcd first keeps every row half as wide
-    # as forming the products and reducing after; the bit count needs no clock
+def widest_gcd_argument(monkeypatch, moments):
+    """The extraction's output and the bit length of the widest integer it hands to gcd."""
     widest = []
 
     def gcd(*args):
@@ -206,9 +205,28 @@ def test_pivots_lose_their_common_factor_before_the_products(monkeypatch):
         return math.gcd(*args)
 
     monkeypatch.setattr(moments_module, "math", types.SimpleNamespace(lcm=math.lcm, gcd=gcd))
-    coeffs, _ = stieltjes_from_moments_exact(lebesgue_moments(96))
+    coeffs, terminated = stieltjes_from_moments_exact(moments)
+    return coeffs, terminated, max(widest)
+
+
+def test_pivots_lose_their_common_factor_before_the_products(monkeypatch):
+    # dividing num[0] and den[0] by their gcd first keeps every row half as wide
+    # as forming the products and reducing after; the bit count needs no clock
+    coeffs, _, widest = widest_gcd_argument(monkeypatch, lebesgue_moments(96))
     assert len(coeffs) == 96
-    assert max(widest) <= 160
+    assert widest <= 160
+
+
+def test_atomic_rows_stay_reduced(monkeypatch):
+    # an atomic measure's rows gain hundreds of bits of content per step, so a
+    # row may go unreduced only after a reduction that found almost none: the
+    # widest integer stays 1344 bits, where skipping every other reduction
+    # reaches 7294 and never reducing 13552
+    atoms = [(Fraction(j, j % 5 + 1), Fraction(j % 7 + 1, j % 3 + 1)) for j in range(1, 21)]
+    moments = [sum(w * lam**k for lam, w in atoms) for k in range(42)]
+    coeffs, terminated, widest = widest_gcd_argument(monkeypatch, moments)
+    assert terminated and len(coeffs) == 40
+    assert widest <= 1500
 
 
 def test_float_boundary_tags_form_and_termination():
