@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable, Tuple
 
 
@@ -48,15 +47,19 @@ class ContinuedFraction:
                 raise ValueError(f"s_{j} must be > 0, got {s}")
 
 
-def to_double(j: int, v: int | Fraction) -> float:
-    """The exact coefficient s_j = v as a double.  Raises OverflowError naming
-    s_j and its decade when v is nonzero and lies past the largest double or
-    rounds to 0.0, which for s_0 would mean another string."""
+def to_double(j: int, p: int, q: int = 1) -> float:
+    """The exact coefficient s_j = p/q, q > 0, as a double, rounded once by
+    int true division.  Raises OverflowError naming s_j and its decade when p
+    is nonzero and p/q lies past the largest double or rounds to 0.0, which
+    for s_0 would mean another string."""
     try:
-        f = float(v)
+        f = p / q
     except OverflowError:  # the exact division exceeds the largest double
         f = math.inf
-    if (f == 0.0 or math.isinf(f)) and v:
+    if (f == 0.0 or math.isinf(f)) and p:
+        from fractions import Fraction
+
+        v = Fraction(p, q)  # lowest terms, so the decade does not depend on how p/q was written
         decade = math.floor(math.log10(abs(v.numerator)) - math.log10(v.denominator))
         raise OverflowError("s_%d is about 1e%d, outside double range" % (j, decade))
     return f

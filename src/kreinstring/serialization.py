@@ -19,12 +19,14 @@ import json
 import math
 import re
 import sys
-from fractions import Fraction
 from itertools import repeat
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from .continued import ContinuedFraction, Form, to_double
 from .strings import DiscreteString, validate_string
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class SchemaError(Exception):
@@ -48,10 +50,13 @@ def render_coefficients(cf: ContinuedFraction) -> str:
 def _parse_entry(i: int, v: object) -> float:
     if isinstance(v, float):
         return v
+    from fractions import Fraction
+
     if isinstance(v, bool) or not isinstance(v, (int, str, Fraction)):
         raise SchemaError("\"s\" entry: expected number or 'p/q' string")
     try:
-        return to_double(i, _rational(v) if isinstance(v, str) else v)
+        r = _rational(v) if isinstance(v, str) else v
+        return to_double(i, r.numerator, r.denominator)
     except (ValueError, ZeroDivisionError):
         raise SchemaError('"s" entry: cannot parse %s as a rational' % _quoted(v))
 
@@ -79,6 +84,8 @@ def _rational(text: str) -> Fraction:
     """Fraction(text) of "p/q" or decimal text.  An exponent past Python's
     bound on the digits of integer text is refused, as a longer integer is:
     Fraction would build 10**exponent, in time that grows with it."""
+    from fractions import Fraction
+
     exponent = _EXPONENT.search(text)
     limit = sys.get_int_max_str_digits()
     if exponent is not None and 0 < limit < abs(int(exponent[1])):
@@ -123,6 +130,8 @@ def parse_coefficients(text: str) -> ContinuedFraction:
 
 
 def parse_moments(text: str) -> List[Fraction]:
+    from fractions import Fraction
+
     data = _load_json(text, "moment")
     if not isinstance(data, dict) or "c" not in data or not isinstance(data["c"], list):
         raise SchemaError('moment file must be an object with a list "c"')

@@ -580,6 +580,10 @@ ZEROS = b"0" * 400
 FAULTS = {
     "tiny-moment": ("coeffs from-moments --in @in", b'{"c":["1' + ZEROS + b'"]}', 1, "s_0 is about 1e-400"),
     "huge-moment": ("coeffs from-moments --in @in", b'{"c":[1,"1/1' + ZEROS + b'"]}', 1, "s_1 is about 1e400"),
+    "moment-coefficient-underflow": ("coeffs from-moments --in @in", b'{"c":[1,"1e400"]}', 1,
+                                     "s_1 is about 1e-400, outside double range"),
+    "moment-coefficient-overflow": ("coeffs from-moments --in @in", b'{"c":[1,"1e-400"]}', 1,
+                                    "s_1 is about 1e400, outside double range"),
     "levy-coeffs-zero": ("eval --coeffs @in --levy --lambda 1", b'{"form":"krein","s":[0]}', 0, "inf"),
     "levy-string-zero": ("eval --string @in --levy --lambda 1", b"x,y\n0,inf\n", 0, "inf"),
     "levy-lambda-zero": ("eval --coeffs @in --levy --lambda 0", TANH3.encode(), 1, "lambda must be positive"),

@@ -1,4 +1,5 @@
 import math
+import random
 import types
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from exact_oracles import drift_family_moments, eval_stieltjes_exact, stieltjes_from_moments_oracle
 from kreinstring import moments as moments_module
-from kreinstring.continued import Form, krein_fraction
+from kreinstring.continued import Form, krein_fraction, to_double
 from kreinstring.families import tanh_coefficients
 from kreinstring.moments import (
     coefficients_from_moments,
@@ -197,7 +198,9 @@ def test_lebesgue_moments_give_the_closed_form():
 
 
 def widest_gcd_argument(monkeypatch, moments):
-    """The extraction's output and the bit length of the widest integer it hands to gcd."""
+    """The extraction's output, the bit length of the widest integer it hands to
+    gcd and the number of row reductions: every gcd call but one pivot gcd per
+    coefficient."""
     widest = []
 
     def gcd(*args):
@@ -206,27 +209,88 @@ def widest_gcd_argument(monkeypatch, moments):
 
     monkeypatch.setattr(moments_module, "math", types.SimpleNamespace(lcm=math.lcm, gcd=gcd))
     coeffs, terminated = stieltjes_from_moments_exact(moments)
-    return coeffs, terminated, max(widest)
+    return coeffs, terminated, max(widest), len(widest) - len(coeffs)
 
 
 def test_pivots_lose_their_common_factor_before_the_products(monkeypatch):
     # dividing num[0] and den[0] by their gcd first keeps every row half as wide
-    # as forming the products and reducing after; the bit count needs no clock
-    coeffs, _, widest = widest_gcd_argument(monkeypatch, lebesgue_moments(96))
+    # as forming the products and reducing after; the bit count needs no clock.
+    # Lebesgue rows take out a few bits a step, so two rows go unreduced after
+    # each reduction: 34 reductions in 96 steps (147 bits), where one row gives
+    # 49 and three rows reach 160 bits
+    coeffs, _, widest, reductions = widest_gcd_argument(monkeypatch, lebesgue_moments(96))
     assert len(coeffs) == 96
     assert widest <= 160
+    assert reductions == 34
 
 
 def test_atomic_rows_stay_reduced(monkeypatch):
     # an atomic measure's rows gain hundreds of bits of content per step, so a
-    # row may go unreduced only after a reduction that found almost none: the
-    # widest integer stays 1344 bits, where skipping every other reduction
-    # reaches 7294 and never reducing 13552
+    # row may go unreduced only after a reduction that found almost none: 38 of
+    # the 40 rows are reduced and the widest integer stays 1344 bits, where
+    # skipping every other reduction reaches 7294 and never reducing 13552
     atoms = [(Fraction(j, j % 5 + 1), Fraction(j % 7 + 1, j % 3 + 1)) for j in range(1, 21)]
     moments = [sum(w * lam**k for lam, w in atoms) for k in range(42)]
-    coeffs, terminated, widest = widest_gcd_argument(monkeypatch, moments)
+    coeffs, terminated, widest, reductions = widest_gcd_argument(monkeypatch, moments)
     assert terminated and len(coeffs) == 40
     assert widest <= 1500
+    assert reductions == 38
+
+
+def seeded_measure_moments(seed, zero_atom):
+    """Moments 2k + 2 of a seeded measure of k = 1...8 atoms, one of them at 0 if asked."""
+    rng = random.Random(seed)
+    k = rng.randint(1, 8)
+    nodes = sorted({Fraction(rng.randint(1, 40), rng.randint(1, 12)) for _ in range(k)})
+    atoms = [(lam, Fraction(rng.randint(1, 30), rng.randint(1, 10))) for lam in nodes]
+    moments = [sum(w * lam**j for lam, w in atoms) for j in range(2 * len(atoms) + 2)]
+    if zero_atom:
+        moments[0] += Fraction(rng.randint(1, 30), rng.randint(1, 10))
+    return moments
+
+
+BOUNDARY_CASES = {
+    "lebesgue": [lebesgue_moments(n) for n in range(1, 201)],
+    "drift": [drift_family_moments(Fraction(1, 2), Fraction(2), Fraction(1), 40)],
+    "atomic": [seeded_measure_moments(seed, zero_atom=False) for seed in range(40)],
+    "atomic-with-zero": [seeded_measure_moments(seed, zero_atom=True) for seed in range(40)],
+}
+
+
+@pytest.mark.parametrize("sequences", list(BOUNDARY_CASES.values()), ids=list(BOUNDARY_CASES))
+def test_float_boundary_rounds_the_exact_coefficients(sequences):
+    # each double is rounded once from its integer pair, and must be the double
+    # of the exact coefficient, bit for bit
+    for moments in sequences:
+        exact, terminated = stieltjes_from_moments_exact(moments)
+        cf = coefficients_from_moments(moments)
+        assert [s.hex() for s in cf.coefficients] == [float(v).hex() for v in exact]
+        assert cf.terminated == terminated
+
+
+# a zeroth moment c_0 for which s_1 = c_0**2 / c_1 comes out as an unreduced pair
+C0 = 301429049354657038607699680262
+
+
+@pytest.mark.parametrize(
+    "moments, text",
+    [
+        ([1, Fraction(1, 10**400)], "s_1 is about 1e400, outside double range"),  # past 1.8e308
+        ([1, 10**400], "s_1 is about 1e-400, outside double range"),  # rounds to 0
+        # s_1 = 10**390 exactly, from a pair with a 390-digit common factor, whose
+        # logs would name 1e389
+        ([C0, Fraction(C0**2, 10**390)], "s_1 is about 1e390, outside double range"),
+    ],
+)
+def test_float_boundary_names_a_coefficient_outside_double_range(moments, text):
+    # the same text as the exact coefficient's own conversion, whatever common
+    # factor the integer pair held
+    exact, _ = stieltjes_from_moments_exact(moments)
+    with pytest.raises(OverflowError) as direct:
+        to_double(1, exact[1].numerator, exact[1].denominator)
+    with pytest.raises(OverflowError) as converted:
+        coefficients_from_moments(moments)
+    assert str(converted.value) == str(direct.value) == text
 
 
 def test_float_boundary_tags_form_and_termination():

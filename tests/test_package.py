@@ -23,7 +23,7 @@ from kreinstring.strings import DiscreteString
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(kreinstring.__file__)))
 
 # Runs one command in a fresh interpreter and reports on stderr, after the
-# command's own output, whether numpy was loaded.
+# command's own output, whether numpy and fractions were loaded.
 PROBE = """\
 import sys
 import kreinstring
@@ -35,6 +35,7 @@ if sys.argv[1:]:
     except SystemExit as exc:  # --help
         code = exc.code
 sys.stderr.write("numpy loaded: %s\\n" % ("numpy" in sys.modules))
+sys.stderr.write("fractions loaded: %s\\n" % ("fractions" in sys.modules))
 sys.exit(code)
 """
 
@@ -78,10 +79,12 @@ def write_files(directory):
         (directory / name).write_text(text)
 
 
-def numpy_loaded_after(argv, tmp_path):
+def loaded_after(argv, tmp_path):
+    """{module: loaded} for numpy and fractions after one command in a fresh interpreter."""
     write_files(tmp_path)
     done = fresh_python(PROBE, *argv, cwd=tmp_path)
-    return done.stderr.splitlines()[-1] == "numpy loaded: True"
+    lines = done.stderr.splitlines()[-2:]
+    return {line.split()[0]: line.endswith(": True") for line in lines}
 
 
 def test_star_import_resolves_every_exported_name():
@@ -92,12 +95,15 @@ def test_star_import_resolves_every_exported_name():
 
 @pytest.mark.parametrize("argv", list(WITHOUT_NUMPY.values()), ids=list(WITHOUT_NUMPY))
 def test_command_starts_without_numpy(argv, tmp_path):
-    assert not numpy_loaded_after(argv, tmp_path)
+    # and without fractions (and the decimal it imports), which only the exact
+    # moment path reads moments into
+    exact = argv[:2] == ["coeffs", "from-moments"]
+    assert loaded_after(argv, tmp_path) == {"numpy": False, "fractions": exact}
 
 
 def test_invert_loads_numpy(tmp_path):
     # the guard above can fail: the level loop of ``invert`` does use arrays
-    assert numpy_loaded_after(["invert", "--in", "c.json"], tmp_path)
+    assert loaded_after(["invert", "--in", "c.json"], tmp_path)["numpy"]
 
 
 def test_console_script_is_cli_main():
